@@ -40,6 +40,13 @@ func ownerLabel(o uint8) string {
 //     recording which ladder rung degraded it. A same-node color
 //     borrow never holds a color inside another client's claim — the
 //     plan-disjointness rule, enforced across shards.
+//
+// The occupancy check guards the serving layer's search index: each
+// shard's occupancy bit for a (bank, LLC) bucket must be set iff the
+// bucket's color list holds a frame. Non-emptiness is recomputed
+// from the lists themselves, so the bitmap cannot vouch for itself.
+// A clear bit over a non-empty list would hide parked frames from
+// every search; a set bit over an empty one costs a wasted probe.
 func AuditServer(s *serve.Server) *Report {
 	m := s.Mapping()
 	r := &Report{Frames: m.Frames()}
@@ -96,8 +103,17 @@ func AuditServer(s *serve.Server) *Report {
 				}
 			}
 		})
+		banks := s.ShardBankColors(i)
+		row := make(map[int]int, len(banks)) // bank color -> row of nonEmpty
+		for li, bc := range banks {
+			row[bc] = li
+		}
+		nonEmpty := make([]bool, len(banks)*m.NumLLCColors())
 		s.VisitShardParked(i, func(bc, lc int, f phys.Frame) {
 			claim(f, ownerColorList, fmt.Sprintf("shard %d color list [%d][%d]", i, bc, lc))
+			if li, ok := row[bc]; ok && lc >= 0 && lc < m.NumLLCColors() {
+				nonEmpty[li*m.NumLLCColors()+lc] = true
+			}
 			r.Parked++
 			if !m.ValidFrame(f) {
 				return
@@ -115,6 +131,14 @@ func AuditServer(s *serve.Server) *Report {
 				r.addf("frame %d parked on shard %d color list [%d][%d] without the colored ownership mark", f, i, bc, lc)
 			}
 		})
+		for li, bc := range banks {
+			for lc := 0; lc < m.NumLLCColors(); lc++ {
+				if occ, held := s.ShardOccupied(i, bc, lc), nonEmpty[li*m.NumLLCColors()+lc]; occ != held {
+					r.addf("shard %d occupancy bit for color list [%d][%d] is %v, but the list holds frames: %v",
+						i, bc, lc, occ, held)
+				}
+			}
+		}
 	}
 
 	clients := s.Clients()

@@ -139,3 +139,20 @@ func BenchmarkFrameLocAoS(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkComboCompatible sweeps every (bank color, LLC color) pair
+// of the Opteron-overlapped mapping, where the answer varies, through
+// the precomputed table; policy.Plan and the serve color-list scans
+// ask this question per cell.
+func BenchmarkComboCompatible(b *testing.B) {
+	m := benchMapping(b, OpteronOverlapped)
+	nb, nl := m.NumBankColors(), m.NumLLCColors()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		if m.ComboCompatible(i/nl%nb, i%nl) {
+			n++
+		}
+	}
+	_ = n
+}

@@ -86,6 +86,12 @@ type Mapping struct {
 	llcTable  []int16  // frame -> LLC color
 	nodeBase  []uint64 // node -> first byte address
 	rowMask   uint64   // (1<<rowShift)-1
+
+	// compat holds one LLC-color bitmask per bank color, compatWords
+	// words each: bit lc of row bc is set iff some frame can carry
+	// both colors (see ComboCompatible and buildCompat).
+	compat      []uint64
+	compatWords int
 }
 
 // locTable lane layout: four 8-bit fields in one uint32.
@@ -159,6 +165,7 @@ func NewMapping(c MappingConfig) (*Mapping, error) {
 		rowShift:    c.RowShift,
 	}
 	m.buildTables()
+	m.buildCompat()
 	return m, nil
 }
 
@@ -431,41 +438,73 @@ func (m *Mapping) SeparableColors() bool {
 // bank color bc and LLC color lc. Under a separable mapping every
 // combination exists; under an overlapped mapping (bank bits shared
 // with LLC color bits, as on the real Opteron) a bank color pins some
-// LLC bits and only consistent pairs are populated. Computed
-// analytically from the bit assignments.
+// LLC bits and only consistent pairs are populated. One load from the
+// table buildCompat derives from the bit assignments; bc and lc must
+// be in range.
 func (m *Mapping) ComboCompatible(bc, lc int) bool {
-	// Decompose bc per Eq. 1.
-	bank := bc % m.Banks()
-	rest := bc / m.Banks()
-	rank := rest % m.Ranks()
-	rest /= m.Ranks()
-	channel := rest % m.Channels()
+	return m.compat[bc*m.compatWords+lc>>6]>>uint(lc&63)&1 != 0
+}
 
-	// required[bit] = 0/1 demanded by the bank-color fields.
-	required := map[uint]int{}
-	conflict := false
-	demand := func(bits []uint, val int) {
-		for i, b := range bits {
-			want := (val >> i) & 1
-			if have, ok := required[b]; ok && have != want {
-				conflict = true
+// CompatibleLLCs returns bank color bc's row of the compatibility
+// table: bit lc%64 of word lc/64 is set iff ComboCompatible(bc, lc).
+// The row has (NumLLCColors()+63)/64 words and no bits past
+// NumLLCColors. Callers must not mutate it.
+func (m *Mapping) CompatibleLLCs(bc int) []uint64 {
+	return m.compat[bc*m.compatWords : (bc+1)*m.compatWords]
+}
+
+// buildCompat fills the compatibility table. The node part of a bank
+// color names a controller, not address bits, so each row depends
+// only on the channel, rank and bank fields: their bits demand fixed
+// values (two uint64 masks over address bits), a field pair that
+// demands both values of one bit makes the bank color unconstructible
+// (an all-zero row), and an LLC color is compatible iff it agrees on
+// every LLC bit the bank color demands.
+func (m *Mapping) buildCompat() {
+	nLLC := m.NumLLCColors()
+	m.compatWords = (nLLC + 63) / 64
+	m.compat = make([]uint64, m.NumBankColors()*m.compatWords)
+	for bc := 0; bc < m.NumBankColors(); bc++ {
+		bank := bc % m.Banks()
+		rest := bc / m.Banks()
+		rank := rest % m.Ranks()
+		channel := rest / m.Ranks() % m.Channels()
+
+		var demand, value uint64 // address bits pinned, and their values
+		conflict := false
+		pin := func(bits []uint, v int) {
+			for i, b := range bits {
+				bit, want := uint64(1)<<b, uint64(v>>i&1)<<b
+				if demand&bit != 0 && value&bit != want {
+					conflict = true
+				}
+				demand |= bit
+				value |= want
 			}
-			required[b] = want
+		}
+		pin(m.channelBits, channel)
+		pin(m.rankBits, rank)
+		pin(m.bankBits, bank)
+		if conflict {
+			continue
+		}
+		// Project the demand onto LLC color space: lc is compatible
+		// iff lc&llcDemand == llcValue. Shifting by a bit index >= 64
+		// yields 0, so LLC bits above the address width pin nothing.
+		var llcDemand, llcValue int
+		for i, b := range m.llcBits {
+			if demand>>b&1 != 0 {
+				llcDemand |= 1 << i
+				llcValue |= int(value>>b&1) << i
+			}
+		}
+		row := m.compat[bc*m.compatWords:]
+		for lc := 0; lc < nLLC; lc++ {
+			if lc&llcDemand == llcValue {
+				row[lc>>6] |= 1 << uint(lc&63)
+			}
 		}
 	}
-	demand(m.channelBits, channel)
-	demand(m.rankBits, rank)
-	demand(m.bankBits, bank)
-	if conflict {
-		return false // bank color itself is not constructible
-	}
-	for i, b := range m.llcBits {
-		want := (lc >> i) & 1
-		if have, ok := required[b]; ok && have != want {
-			return false
-		}
-	}
-	return true
 }
 
 // NodeOfBankColor inverts Eq. 1's node component: the controller that

@@ -165,7 +165,7 @@ func (s *Server) allocPreferredFor(c *Client) (phys.Frame, bool) {
 			return f, true
 		}
 		for _, sh := range s.shards {
-			if sh == start || len(c.banksOn[sh.node]) == 0 {
+			if sh == start || len(c.banksOn(sh.node)) == 0 {
 				continue
 			}
 			if f, ok := sh.popMatch(c, seq, s); ok {

@@ -6,8 +6,10 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -45,6 +47,55 @@ func auditServerClean(t *testing.T, s *serve.Server) *invariant.Report {
 			r.BuddyFree, r.Parked, r.Mapped, r.Frames)
 	}
 	return r
+}
+
+// TestAuditServerCatchesOccupancyDrift flips one occupancy bit each
+// way — set over an empty list, clear over a non-empty one — and
+// requires the auditor to name that bucket, recomputing occupancy
+// from the lists rather than trusting the bitmap.
+func TestAuditServerCatchesOccupancyDrift(t *testing.T) {
+	top, m := bootPair(t)
+	s, err := serve.New(top, m, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := s.NewClient(top.CoresOfNode(0)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first allocation shatters a block across shard 0's lists;
+	// the next ones drain the claim's single bucket, leaving it empty
+	// beside its occupied neighbours.
+	bc := m.BankColorsOfNode(0)[0]
+	if err := c.SetColors([]int{bc}, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i == 0 || s.ShardOccupied(0, bc, 0); i++ {
+		if _, err := c.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+		if i > 64 {
+			t.Fatal("claim bucket never drained")
+		}
+	}
+	if !s.ShardOccupied(0, bc, 1) {
+		t.Fatal("neighbouring bucket is empty; the first shatter should have filled it")
+	}
+	auditServerClean(t, s)
+	for _, b := range [][2]int{{bc, 0}, {bc, 1}} {
+		serve.FlipOccupancyBit(s, 0, b[0], b[1])
+		r := invariant.AuditServer(s)
+		if len(r.Violations) != 1 {
+			t.Fatalf("flipped bit [%d][%d]: want exactly one violation, got %v", b[0], b[1], r.Violations)
+		}
+		want := fmt.Sprintf("occupancy bit for color list [%d][%d]", b[0], b[1])
+		if !strings.Contains(r.Violations[0], want) {
+			t.Fatalf("violation %q does not name %q", r.Violations[0], want)
+		}
+		serve.FlipOccupancyBit(s, 0, b[0], b[1])
+		auditServerClean(t, s)
+	}
 }
 
 // TestDifferentialKernelVsServe drives the sequential kernel and the

@@ -134,6 +134,16 @@ func (s *Server) VisitShardParked(i int, fn func(bc, lc int, f phys.Frame)) {
 	}
 }
 
+// ShardOccupied reports shard i's occupancy bit for the bucket of
+// global bank color bc (owned by the shard) and LLC color lc. On a
+// quiescent server it is set iff that color list is non-empty; the
+// auditor checks exactly that against VisitShardParked.
+func (s *Server) ShardOccupied(i, bc, lc int) bool {
+	sh := s.shards[i]
+	w, bit := sh.occBit(sh.localOf[bc]*sh.nLLC + lc)
+	return w.Load()&bit != 0
+}
+
 // VisitOutstanding visits every handed-out frame in ascending frame
 // order with the owning client's ID.
 func (s *Server) VisitOutstanding(fn func(f phys.Frame, clientID int)) {

@@ -15,7 +15,10 @@
 //     frame, a color list, or a free list.
 //   - Color lists are lock-striped: the (bank, LLC) buckets of a shard
 //     are guarded by a small array of stripe mutexes, so concurrent
-//     clients popping different colors do not serialize.
+//     clients popping different colors do not serialize. A per-shard
+//     occupancy bitmap (one bit per bucket, set iff it is non-empty)
+//     lets a search find the claim's first non-empty bucket with a
+//     few word operations instead of a lock per (bank, LLC) cell.
 //   - Refills are batched: a client that misses its color lists posts
 //     a request to the shard's bounded refill queue; the shard's
 //     worker drains the queue in batches and amortizes each
@@ -45,6 +48,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -296,9 +300,9 @@ type Client struct {
 
 	usingBank  bool
 	usingLLC   bool
-	bankColors []int   // sorted owned bank colors
-	llcColors  []int   // sorted owned LLC colors
-	banksOn    [][]int // node -> owned bank colors on that node
+	bankColors []int    // sorted, duplicate-free owned bank colors
+	llcColors  []int    // sorted, duplicate-free owned LLC colors
+	llcMask    []uint64 // llcColors as one row of a shard's occupancy bitmap
 	colorsSet  bool
 
 	// cursor rotates allocations over the client's color combinations
@@ -350,10 +354,20 @@ func (c *Client) OwnsLLCColor(lc int) bool {
 	return i < len(c.llcColors) && c.llcColors[i] == lc
 }
 
+// banksOn returns the claimed bank colors on node n. Eq. 1 numbers
+// bank colors node by node, so they are one run of the sorted claim.
+func (c *Client) banksOn(n int) []int {
+	per := c.srv.mapping.BanksPerNode()
+	lo, _ := slices.BinarySearch(c.bankColors, n*per)
+	hi, _ := slices.BinarySearch(c.bankColors, (n+1)*per)
+	return c.bankColors[lo:hi]
+}
+
 // SetColors installs the client's color claim — the front-end
 // analogue of the paper's mmap color-selection protocol, taken whole
 // instead of color by color. Empty slices leave the respective
-// dimension uncolored. SetColors may be called at most once, before
+// dimension uncolored; a color listed twice is claimed once, as the
+// kernel's color sets do. SetColors may be called at most once, before
 // the client's first allocation.
 func (c *Client) SetColors(bank, llc []int) error {
 	s := c.srv
@@ -370,17 +384,14 @@ func (c *Client) SetColors(bank, llc []int) error {
 			return fmt.Errorf("serve: LLC color %d out of range [0,%d)", lc, s.mapping.NumLLCColors())
 		}
 	}
-	c.bankColors = append([]int(nil), bank...)
-	sort.Ints(c.bankColors)
-	c.llcColors = append([]int(nil), llc...)
-	sort.Ints(c.llcColors)
+	c.bankColors = slices.Compact(slices.Sorted(slices.Values(bank)))
+	c.llcColors = slices.Compact(slices.Sorted(slices.Values(llc)))
+	c.llcMask = make([]uint64, (s.mapping.NumLLCColors()+63)/64)
+	for _, lc := range c.llcColors {
+		c.llcMask[lc>>6] |= 1 << uint(lc&63)
+	}
 	c.usingBank = len(c.bankColors) > 0
 	c.usingLLC = len(c.llcColors) > 0
-	c.banksOn = make([][]int, s.mapping.Nodes())
-	for _, bc := range c.bankColors {
-		n := s.mapping.NodeOfBankColor(bc)
-		c.banksOn[n] = append(c.banksOn[n], bc)
-	}
 	for _, bc := range c.bankColors {
 		s.assignedBank[bc].Add(1)
 	}

@@ -11,7 +11,7 @@ import (
 
 const testMem = 64 << 20
 
-func testServer(t *testing.T, cfg Config) (*Server, *phys.Mapping, *topology.Topology) {
+func testServer(t testing.TB, cfg Config) (*Server, *phys.Mapping, *topology.Topology) {
 	t.Helper()
 	top := topology.Opteron6128()
 	m, err := phys.DefaultSeparable(testMem, top.Nodes())
@@ -26,7 +26,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *phys.Mapping, *topology.Top
 	return s, m, top
 }
 
-func coloredClient(t *testing.T, s *Server, m *phys.Mapping, top *topology.Topology, node int) *Client {
+func coloredClient(t testing.TB, s *Server, m *phys.Mapping, top *topology.Topology, node int) *Client {
 	t.Helper()
 	c, err := s.NewClient(top.CoresOfNode(topology.NodeID(node))[0])
 	if err != nil {
@@ -211,6 +211,52 @@ func TestSetColorsValidation(t *testing.T) {
 	}
 	if err := c.SetColors([]int{1}, nil); err == nil {
 		t.Error("second SetColors accepted")
+	}
+}
+
+// A claim listing a color twice is the claim listing it once: same
+// owned colors, same assignment counts for the borrow ladder, and the
+// same frame at every allocation (duplicates used to inflate the
+// combination count, so the rotating cursor drifted by the fourth
+// allocation).
+func TestSetColorsDeduplicates(t *testing.T) {
+	run := func(bank, llc []int) (*Server, *Client, []phys.Frame) {
+		s, _, top := testServer(t, Config{})
+		c, err := s.NewClient(top.CoresOfNode(0)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetColors(bank, llc); err != nil {
+			t.Fatal(err)
+		}
+		var out []phys.Frame
+		for i := 0; i < 16; i++ {
+			f, err := c.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, f)
+		}
+		return s, c, out
+	}
+	sd, cd, dup := run([]int{2, 1, 2}, []int{0, 2, 1, 2, 2})
+	_, _, plain := run([]int{1, 2}, []int{0, 1, 2})
+	for i := range plain {
+		if dup[i] != plain[i] {
+			t.Fatalf("alloc %d: duplicate claim placed frame %d, plain claim %d", i, dup[i], plain[i])
+		}
+	}
+	if got := cd.BankColors(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("BankColors = %v, want [1 2]", got)
+	}
+	if got := cd.LLCColors(); len(got) != 3 {
+		t.Errorf("LLCColors = %v, want [0 1 2]", got)
+	}
+	if n := sd.assignedBank[2].Load(); n != 1 {
+		t.Errorf("bank color 2 counted %d times, want 1", n)
+	}
+	if n := sd.assignedLLC[2].Load(); n != 1 {
+		t.Errorf("LLC color 2 counted %d times, want 1", n)
 	}
 }
 

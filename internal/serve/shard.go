@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -35,6 +36,17 @@ type shard struct {
 	stripes []sync.Mutex
 	lists   [][]phys.Frame //tintvet:guardedby stripes
 	parkedN atomic.Int64
+
+	// occ is the bucket occupancy bitmap: bit b (word b/64) is set iff
+	// lists[b] is non-empty. Bit b changes only under bucket b's
+	// stripe, on the list's empty<->non-empty transition; buckets of
+	// one word sit under different stripes, hence the atomic Or/And.
+	// Readers load it without a stripe (DESIGN.md Sec. 11.6). Row li
+	// — bank li's nLLC buckets — starts at bit li*nLLC; nLLC is a
+	// power of two, so a row never straddles a word boundary unless it
+	// spans whole words.
+	occ     []atomic.Uint64
+	rowMask uint64 // low min(nLLC, 64) bits: one word of a row
 
 	// refillQ carries misses to the shard's worker; pending counts
 	// requests enqueued or being served and is capped at HighWater
@@ -92,6 +104,7 @@ func newShard(node int, base phys.Frame, zone *buddy.Allocator, m *phys.Mapping,
 	for i, bc := range banks {
 		localOf[bc] = i
 	}
+	buckets := len(banks) * m.NumLLCColors()
 	return &shard{
 		node:    node,
 		base:    base,
@@ -100,9 +113,24 @@ func newShard(node int, base phys.Frame, zone *buddy.Allocator, m *phys.Mapping,
 		banks:   banks,
 		localOf: localOf,
 		stripes: make([]sync.Mutex, cfg.Stripes),
-		lists:   make([][]phys.Frame, len(banks)*m.NumLLCColors()),
+		lists:   make([][]phys.Frame, buckets),
+		occ:     make([]atomic.Uint64, (buckets+63)/64),
+		rowMask: ^uint64(0) >> uint(64-min(m.NumLLCColors(), 64)),
 		refillQ: make(chan *refillReq, cfg.QueueDepth),
 	}, nil
+}
+
+// occBit returns bucket b's occupancy word and bit.
+func (sh *shard) occBit(b int) (*atomic.Uint64, uint64) {
+	return &sh.occ[b>>6], 1 << uint(b&63)
+}
+
+// rowWord returns word w of row li's occupancy, shifted so bit j is
+// bucket li*nLLC + 64*w + j. Bits past the row's end belong to later
+// rows: callers mask with rowMask or a row-sized color mask.
+func (sh *shard) rowWord(li, w int) uint64 {
+	b := li*sh.nLLC + w<<6
+	return sh.occ[b>>6].Load() >> uint(b&63)
 }
 
 // park pushes a colored frame onto its (bank, LLC) bucket. The frame
@@ -113,6 +141,10 @@ func (sh *shard) park(f phys.Frame, s *Server) {
 	b := sh.localOf[bc]*sh.nLLC + lc
 	mu := &sh.stripes[b%len(sh.stripes)]
 	mu.Lock()
+	if len(sh.lists[b]) == 0 {
+		w, bit := sh.occBit(b)
+		w.Or(bit)
+	}
 	sh.lists[b] = append(sh.lists[b], f)
 	mu.Unlock()
 	sh.parkedN.Add(1)
@@ -120,8 +152,18 @@ func (sh *shard) park(f phys.Frame, s *Server) {
 
 // popBucket pops the most recently parked frame of bucket b (the
 // kernel's LIFO order, so a lone client sees identical placement to
-// the sequential simulator).
+// the sequential simulator). A clear occupancy bit answers "empty"
+// without taking the stripe.
 func (sh *shard) popBucket(b int) (phys.Frame, bool) {
+	if w, bit := sh.occBit(b); w.Load()&bit == 0 {
+		return 0, false
+	}
+	return sh.takeBucket(b)
+}
+
+// takeBucket is popBucket's locked half: the stripe decides, and the
+// pop that empties the bucket clears its occupancy bit.
+func (sh *shard) takeBucket(b int) (phys.Frame, bool) {
 	mu := &sh.stripes[b%len(sh.stripes)]
 	mu.Lock()
 	l := sh.lists[b]
@@ -131,9 +173,52 @@ func (sh *shard) popBucket(b int) (phys.Frame, bool) {
 	}
 	f := l[len(l)-1]
 	sh.lists[b] = l[:len(l)-1]
+	if len(l) == 1 {
+		w, bit := sh.occBit(b)
+		w.And(^bit)
+	}
 	mu.Unlock()
 	sh.parkedN.Add(-1)
 	return f, true
+}
+
+// popRow pops from the first occupied bucket of row li whose LLC color
+// lies in [lo, hi) and is set in every non-nil row-sized mask, probing
+// in ascending LLC order — the order the per-cell loops it replaced
+// visited. A set bit whose pop loses a race is skipped like an empty
+// bucket.
+func (sh *shard) popRow(li, lo, hi int, m1, m2 []uint64) (phys.Frame, bool) {
+	for w := lo >> 6; w<<6 < hi; w++ {
+		word := sh.rowWord(li, w) & sh.rowMask & spanMask(w, lo, hi)
+		if m1 != nil {
+			word &= m1[w]
+		}
+		if m2 != nil {
+			word &= m2[w]
+		}
+		for word != 0 {
+			j := bits.TrailingZeros64(word)
+			word &= word - 1
+			if f, ok := sh.popBucket(li*sh.nLLC + w<<6 + j); ok {
+				return f, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// spanMask returns the bits of word w (LLC colors 64w..64w+63) that
+// fall in [lo, hi); w lies in [lo/64, (hi-1)/64].
+func spanMask(w, lo, hi int) uint64 {
+	base := w << 6
+	m := ^uint64(0)
+	if lo > base {
+		m <<= uint(lo - base)
+	}
+	if hi < base+64 {
+		m &= 1<<uint(hi-base) - 1
+	}
+	return m
 }
 
 // popMatch pops a parked frame matching the client's color claim,
@@ -142,26 +227,33 @@ func (sh *shard) popBucket(b int) (phys.Frame, bool) {
 func (sh *shard) popMatch(c *Client, seq uint64, s *Server) (phys.Frame, bool) {
 	switch {
 	case c.usingBank && c.usingLLC:
-		banks := c.banksOn[sh.node]
+		// Combination k is (banks[k/nl], llcColors[k%nl]). Both lists
+		// are sorted and duplicate-free and localOf is monotone, so
+		// bucket index grows with k: probing k = start, start+1, ...
+		// with wrap-around is scanning the claimed rows for the first
+		// occupied, compatible bucket at or after start's bucket.
+		banks := c.banksOn(sh.node)
 		nb, nl := len(banks), len(c.llcColors)
 		if nb == 0 {
 			return 0, false
 		}
-		total := nb * nl
-		start := int(seq % uint64(total))
-		for i := 0; i < total; i++ {
-			k := (start + i) % total
-			bc := banks[k/nl]
-			lc := c.llcColors[k%nl]
-			if !s.mapping.ComboCompatible(bc, lc) {
-				continue
+		start := int(seq % uint64(nb*nl))
+		kb, lc0 := start/nl, c.llcColors[start%nl]
+		for i := 0; i <= nb; i++ {
+			lo, hi := 0, sh.nLLC
+			if i == 0 {
+				lo = lc0
 			}
-			if f, ok := sh.popBucket(sh.localOf[bc]*sh.nLLC + lc); ok {
+			if i == nb {
+				hi = lc0 // the start row's colors below lc0, after the wrap
+			}
+			bc := banks[(kb+i)%nb]
+			if f, ok := sh.popRow(sh.localOf[bc], lo, hi, c.llcMask, s.mapping.CompatibleLLCs(bc)); ok {
 				return f, true
 			}
 		}
 	case c.usingBank:
-		banks := c.banksOn[sh.node]
+		banks := c.banksOn(sh.node)
 		if len(banks) == 0 {
 			return 0, false
 		}
@@ -195,30 +287,39 @@ func (sh *shard) popMatch(c *Client, seq uint64, s *Server) (phys.Frame, bool) {
 // popUnassigned pops a parked frame whose color no client claims —
 // the ladder's borrow-a-color rung. Bank-unassigned buckets are
 // preferred with the client's own LLC colors first (keeping its
-// cache slice), mirroring kernel.popUnassigned.
+// cache slice), mirroring kernel.popUnassigned; then LLC-unassigned
+// columns, column by column.
 func (sh *shard) popUnassigned(c *Client, s *Server) (phys.Frame, bool) {
 	for li, bc := range sh.banks {
 		if s.assignedBank[bc].Load() != 0 {
 			continue
 		}
-		for _, lc := range c.llcColors {
-			if f, ok := sh.popBucket(li*sh.nLLC + lc); ok {
-				return f, true
-			}
+		if f, ok := sh.popRow(li, 0, sh.nLLC, c.llcMask, nil); ok {
+			return f, true
 		}
-		for lc := 0; lc < sh.nLLC; lc++ {
-			if f, ok := sh.popBucket(li*sh.nLLC + lc); ok {
-				return f, true
-			}
+		if f, ok := sh.popRow(li, 0, sh.nLLC, nil, nil); ok {
+			return f, true
 		}
 	}
-	for lc := 0; lc < sh.nLLC; lc++ {
-		if s.assignedLLC[lc].Load() != 0 {
-			continue
-		}
+	// Column pass, 64 LLC colors at a time: OR the rows together to
+	// find the occupied columns, then probe each unassigned one bank
+	// by bank.
+	for w := 0; w<<6 < sh.nLLC; w++ {
+		var cols uint64
 		for li := range sh.banks {
-			if f, ok := sh.popBucket(li*sh.nLLC + lc); ok {
-				return f, true
+			cols |= sh.rowWord(li, w)
+		}
+		cols &= sh.rowMask
+		for cols != 0 {
+			lc := w<<6 + bits.TrailingZeros64(cols)
+			cols &= cols - 1
+			if s.assignedLLC[lc].Load() != 0 {
+				continue
+			}
+			for li := range sh.banks {
+				if f, ok := sh.popBucket(li*sh.nLLC + lc); ok {
+					return f, true
+				}
 			}
 		}
 	}
@@ -227,16 +328,16 @@ func (sh *shard) popUnassigned(c *Client, s *Server) (phys.Frame, bool) {
 
 // popAnyParked pops any parked frame regardless of color — the
 // ladder's uncolored rungs, spending a colored page when the zones
-// are dry.
+// are dry — from the lowest occupied bucket.
 func (sh *shard) popAnyParked(s *Server) (phys.Frame, bool) {
 	if sh.parkedN.Load() == 0 {
 		return 0, false
 	}
-	// The outer slice is immutable after newShard; only the buckets
-	// mutate, and popBucket takes the stripe for those.
-	for b := range sh.lists { //tintvet:ignore guardedby: outer slice immutable after construction; popBucket locks each bucket
-		if f, ok := sh.popBucket(b); ok {
-			return f, true
+	for w := range sh.occ {
+		for word := sh.occ[w].Load(); word != 0; word &= word - 1 {
+			if f, ok := sh.popBucket(w<<6 + bits.TrailingZeros64(word)); ok {
+				return f, true
+			}
 		}
 	}
 	return 0, false

@@ -230,6 +230,55 @@ func TestSessionCleanupReclaims(t *testing.T) {
 	}
 }
 
+// TestHelloDeduplicatesColors sends a Hello that lists colors twice
+// to one daemon and the same claim without duplicates to another: the
+// daemon-side client must claim each color once and both sessions
+// must be handed the same frames in the same order.
+func TestHelloDeduplicatesColors(t *testing.T) {
+	run := func(bank, llc []int) (*Daemon, []phys.Frame) {
+		d, addr := newTestDaemon(t)
+		c, err := Dial("unix", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Hello(0, bank, llc); err != nil {
+			t.Fatal(err)
+		}
+		var got []phys.Frame
+		for i := 0; i < 16; i++ {
+			f, err := c.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, f)
+		}
+		for _, f := range got {
+			if err := c.Free(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Goodbye(); err != nil {
+			t.Fatal(err)
+		}
+		return d, got
+	}
+	dd, dup := run([]int{1, 2, 2}, []int{0, 1, 2, 2})
+	_, plain := run([]int{1, 2}, []int{0, 1, 2})
+	if !reflect.DeepEqual(dup, plain) {
+		t.Fatalf("duplicate-color hello placed %v, plain hello %v", dup, plain)
+	}
+	cl := dd.Server().Clients()[0]
+	if got := cl.BankColors(); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Errorf("daemon client bank colors %v, want [1 2]", got)
+	}
+	if got := cl.LLCColors(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Errorf("daemon client LLC colors %v, want [0 1 2]", got)
+	}
+	if err := dd.Close(); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+}
+
 // TestWireErrorsMatchSentinels checks serve-layer failures survive
 // the wire as the same sentinels the in-process client returns.
 func TestWireErrorsMatchSentinels(t *testing.T) {
