@@ -11,9 +11,12 @@
 // accumulates idle[tid] += max(end) - end[tid].
 //
 // Thread bodies are ordinary Go functions written in range-over-func
-// style (Work); the engine pulls one operation at a time from the
+// style (Work); the engine executes one operation at a time from the
 // thread whose clock is earliest, so kernel and memory-system state
 // always mutate in virtual-time order and runs are deterministic.
+// Ops travel from a body to the engine in blocks (see Phase.Batched
+// and Sync); a body's own side effects still run at the virtual
+// instant the op-at-a-time schedule gives them.
 package engine
 
 import (
@@ -34,7 +37,20 @@ type Op struct {
 	Compute clock.Dur // compute cycles before the access
 	VA      uint64    // virtual address; 0 means compute-only
 	Write   bool
+	sync    bool // set only in Sync
 }
+
+// Sync is not an operation but a handoff point: a Batched body yields
+// it before a side effect — a heap or kernel call, or a read or write
+// of state shared with other bodies — so that the ops it has yielded
+// so far execute before the side effect runs. The engine resumes the
+// body past a Sync only once the thread is again the earliest in
+// virtual time with all of those ops done, which is exactly the
+// instant an op-at-a-time pull would have run the side effect. A Sync
+// takes no time, is not counted in Result.Ops or the op budget, is
+// never traced, and is a no-op when no yielded op is pending (always
+// so in a phase that is not Batched).
+var Sync = Op{sync: true}
 
 // Work is a thread body: it yields Ops in program order. The yield
 // function returns false when the engine aborts the run; the body
@@ -65,16 +81,16 @@ type Phase struct {
 	Work   []Work
 	NoWait bool
 	// Batched lets the engine pull ops from each body in blocks of
-	// opBatch per coroutine switch instead of one at a time. The
+	// up to opBatch per coroutine switch instead of one at a time. The
 	// scheduler still interleaves threads op-by-op in (time, id)
 	// order — only the body<->engine handoff is chunked — so results
-	// are unchanged PROVIDED the body is pure after its first yield:
-	// it must not read or write state shared with other bodies or
-	// phases between yields (first-yield-time effects such as mmaps
-	// are safe, since the first block is pulled exactly when the
-	// unbatched engine would have run the body for the first time).
-	// Bodies that mutate shared state mid-stream (e.g. a shared heap
-	// bump pointer) must leave this off.
+	// are unchanged PROVIDED the body yields Sync before any later
+	// call that reads or writes state outside the body (a Malloc, a
+	// Free, a shared cursor). Work before the first yield needs no
+	// Sync: the first block is pulled exactly when the unbatched
+	// engine would have run the body for the first time. Bodies that
+	// cannot mark their side effects (public-API bodies, DynamicFor,
+	// trace replay) leave this off and are pulled one op per block.
 	Batched bool
 }
 
@@ -291,25 +307,29 @@ func (e *Engine) Threads() []Thread { return e.threads }
 func (e *Engine) Now() clock.Time { return e.now }
 
 // opBatch is how many ops a Batched phase hands the engine per
-// coroutine switch. The body-side adapter (blockify) accumulates its
-// yields into a block and performs one real iter.Pull handoff per
-// full block, so the goroutine-switch cost is paid once per opBatch
-// ops instead of once per op.
+// coroutine switch at most. The body-side adapter (blockify)
+// accumulates its yields into a block and performs one real iter.Pull
+// handoff per full block or Sync, so the goroutine-switch cost is paid
+// once per block instead of once per op.
 const opBatch = 1024
 
 // blockify adapts a per-op body into a per-block iterator: the body's
-// yields append to a reused buffer that is surfaced to the consumer
-// only when full (or at body exit). The consumer must finish with a
-// block before requesting the next one — iter.Pull's strict
-// alternation guarantees that, which is what makes reusing the buffer
-// safe.
-func blockify(w Work) iter.Seq[[]Op] {
+// yields append to buf, which is surfaced to the consumer when it
+// holds size ops, at a Sync, or at body exit. A block is never empty
+// and never holds a Sync. The consumer must finish with a block before
+// requesting the next one — iter.Pull's strict alternation guarantees
+// that, which is what makes reusing buf safe.
+func blockify(w Work, buf []Op, size int) iter.Seq[[]Op] {
 	return func(yield func([]Op) bool) {
-		buf := make([]Op, 0, opBatch)
+		buf := buf[:0]
 		stopped := false
 		w(func(op Op) bool {
-			buf = append(buf, op)
-			if len(buf) < opBatch {
+			if !op.sync {
+				buf = append(buf, op)
+				if len(buf) < size {
+					return true
+				}
+			} else if len(buf) == 0 {
 				return true
 			}
 			if !yield(buf) {
@@ -327,32 +347,27 @@ func blockify(w Work) iter.Seq[[]Op] {
 
 // runnerState is one live thread within a phase.
 type runnerState struct {
-	id   int
-	time clock.Time
-	ops  uint64 // ops this thread executed in the current phase
-	next func() (Op, bool)
-	stop func()
-	// Block pulling (Batched phases only): nextBlock replaces next,
-	// and buf[bufPos:] holds the ops of the current block that have
-	// not executed yet.
+	id        int
+	time      clock.Time
+	ops       uint64 // ops this thread executed in the current phase
 	nextBlock func() ([]Op, bool)
-	buf       []Op
-	bufPos    int
+	stop      func()
+	// buf[bufPos:] holds the ops of the current block that have not
+	// executed yet.
+	buf    []Op
+	bufPos int
 }
 
 // nextOp returns the thread's next op, pulling the next block from
-// the body when batching is on and the current block is spent.
+// the body when the current one is spent.
 func (r *runnerState) nextOp() (Op, bool) {
 	if r.bufPos < len(r.buf) {
 		op := r.buf[r.bufPos]
 		r.bufPos++
 		return op, true
 	}
-	if r.nextBlock == nil {
-		return r.next()
-	}
 	buf, ok := r.nextBlock()
-	if !ok || len(buf) == 0 {
+	if !ok {
 		return Op{}, false
 	}
 	r.buf = buf
@@ -376,13 +391,16 @@ func (e *Engine) Run(phases []Phase) (*Result, error) {
 			e.release[i] = e.now
 		}
 	}
+	// blocks[i] is thread i's block buffer, reused by every phase of
+	// this run and dropped with it.
+	blocks := make([][]Op, n)
 	for pi, ph := range phases {
 		if len(ph.Work) != n {
 			return res, fmt.Errorf("engine: phase %q has %d bodies for %d threads",
 				ph.Name, len(ph.Work), n)
 		}
 		barrier := !ph.NoWait || pi == len(phases)-1
-		pr, err := e.runPhase(ph, res, barrier)
+		pr, err := e.runPhase(ph, res, barrier, blocks)
 		res.Phases = append(res.Phases, pr)
 		if err != nil {
 			return res, fmt.Errorf("engine: phase %q: %w", ph.Name, err)
@@ -414,7 +432,7 @@ func (e *Engine) Run(phases []Phase) (*Result, error) {
 	return res, nil
 }
 
-func (e *Engine) runPhase(ph Phase, res *Result, barrier bool) (PhaseResult, error) {
+func (e *Engine) runPhase(ph Phase, res *Result, barrier bool, blocks [][]Op) (PhaseResult, error) {
 	start := e.now
 	pr := PhaseResult{
 		Name:      ph.Name,
@@ -430,17 +448,20 @@ func (e *Engine) runPhase(ph Phase, res *Result, barrier bool) (PhaseResult, err
 	// its own previous completion after a NoWait phase).
 	var live []*runnerState
 	participants := 0
+	size := 1 // an unbatched body hands over every op as it yields it
+	if ph.Batched {
+		size = opBatch
+	}
 	for i, w := range ph.Work {
 		if w == nil {
 			continue
 		}
 		participants++
-		r := &runnerState{id: i, time: e.release[i]}
-		if ph.Batched {
-			r.nextBlock, r.stop = iter.Pull(blockify(w))
-		} else {
-			r.next, r.stop = iter.Pull(iter.Seq[Op](w))
+		if blocks[i] == nil {
+			blocks[i] = make([]Op, 0, opBatch)
 		}
+		r := &runnerState{id: i, time: e.release[i]}
+		r.nextBlock, r.stop = iter.Pull(blockify(w, blocks[i], size))
 		live = append(live, r)
 	}
 	pr.Parallel = participants >= 2

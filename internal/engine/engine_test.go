@@ -20,7 +20,7 @@ type rig struct {
 	e  *Engine
 }
 
-func newRig(t *testing.T, cores []topology.CoreID) *rig {
+func newRig(t testing.TB, cores []topology.CoreID) *rig {
 	t.Helper()
 	top := topology.Opteron6128()
 	m, err := phys.DefaultSeparable(testMem, top.Nodes())

@@ -10,7 +10,7 @@ import (
 
 // newComputeEngine builds an engine with n threads pinned to cores
 // 0..n-1, for tests that never touch memory.
-func newComputeEngine(t *testing.T, n int) *Engine {
+func newComputeEngine(t testing.TB, n int) *Engine {
 	t.Helper()
 	cores := make([]topology.CoreID, n)
 	for i := range cores {

@@ -113,13 +113,16 @@ func Audit(k *kernel.Kernel) *Report {
 	r := &Report{Frames: m.Frames()}
 	owner := make([]uint8, m.Frames())
 
-	claim := func(f phys.Frame, who uint8, what string) {
+	// claim records who as f's owner. what describes the claimant; it
+	// is called only to word a violation, so a clean audit formats
+	// nothing.
+	claim := func(f phys.Frame, who uint8, what func() string) {
 		if uint64(f) >= r.Frames {
-			r.addf("%s holds out-of-range frame %d", what, f)
+			r.addf("%s holds out-of-range frame %d", what(), f)
 			return
 		}
 		if owner[f] != ownerNone {
-			r.addf("frame %d owned by both %s and %s", f, ownerName[owner[f]], what)
+			r.addf("frame %d owned by both %s and %s", f, ownerName[owner[f]], what())
 			return
 		}
 		owner[f] = who
@@ -128,7 +131,7 @@ func Audit(k *kernel.Kernel) *Report {
 	for n := 0; n < m.Nodes(); n++ {
 		k.VisitZoneFree(n, func(head phys.Frame, order int) {
 			for f := head; f < head+phys.Frame(uint64(1)<<order); f++ {
-				claim(f, ownerBuddy, "buddy free list")
+				claim(f, ownerBuddy, func() string { return "buddy free list" })
 				r.BuddyFree++
 				if k.FrameColored(f) {
 					r.addf("colored frame %d returned to the buddy allocator; colored frames must rejoin their color list", f)
@@ -138,7 +141,7 @@ func Audit(k *kernel.Kernel) *Report {
 	}
 
 	k.VisitColorLists(func(bc, lc int, f phys.Frame) {
-		claim(f, ownerColorList, fmt.Sprintf("color list [%d][%d]", bc, lc))
+		claim(f, ownerColorList, func() string { return fmt.Sprintf("color list [%d][%d]", bc, lc) })
 		r.Parked++
 		if !m.ValidFrame(f) {
 			return
@@ -157,12 +160,12 @@ func Audit(k *kernel.Kernel) *Report {
 
 	for _, p := range k.Processes() {
 		p.VisitPages(func(vp uint64, f phys.Frame) {
-			claim(f, ownerPageTable, fmt.Sprintf("process %d page table (vpage %#x)", p.ID(), vp))
+			claim(f, ownerPageTable, func() string { return fmt.Sprintf("process %d page table (vpage %#x)", p.ID(), vp) })
 			r.Mapped++
 		})
 		for _, t := range p.Tasks() {
 			for _, f := range t.PCPFrames() {
-				claim(f, ownerPCP, fmt.Sprintf("task %d pcp cache", t.ID()))
+				claim(f, ownerPCP, func() string { return fmt.Sprintf("task %d pcp cache", t.ID()) })
 				r.PCPCached++
 			}
 			// TLB coherence: every cached translation must agree with

@@ -52,13 +52,16 @@ func AuditServer(s *serve.Server) *Report {
 	r := &Report{Frames: m.Frames()}
 	owner := make([]uint8, m.Frames())
 
-	claim := func(f phys.Frame, who uint8, what string) {
+	// claim records who as f's owner. what describes the claimant; it
+	// is called only to word a violation, so a clean audit formats
+	// nothing.
+	claim := func(f phys.Frame, who uint8, what func() string) {
 		if uint64(f) >= r.Frames {
-			r.addf("%s holds out-of-range frame %d", what, f)
+			r.addf("%s holds out-of-range frame %d", what(), f)
 			return
 		}
 		if owner[f] != ownerNone {
-			r.addf("frame %d owned by both %s and %s", f, ownerLabel(owner[f]), what)
+			r.addf("frame %d owned by both %s and %s", f, ownerLabel(owner[f]), what())
 			return
 		}
 		owner[f] = who
@@ -92,7 +95,7 @@ func AuditServer(s *serve.Server) *Report {
 		hi := lo + phys.Frame(framesPerNode)
 		s.VisitShardFree(i, func(head phys.Frame, order int) {
 			for f := head; f < head+phys.Frame(uint64(1)<<order); f++ {
-				claim(f, ownerBuddy, fmt.Sprintf("shard %d buddy zone", i))
+				claim(f, ownerBuddy, func() string { return fmt.Sprintf("shard %d buddy zone", i) })
 				r.BuddyFree++
 				if f < lo || f >= hi {
 					r.addf("shard %d (node %d) zone holds frame %d outside node range [%d,%d)",
@@ -110,7 +113,7 @@ func AuditServer(s *serve.Server) *Report {
 		}
 		nonEmpty := make([]bool, len(banks)*m.NumLLCColors())
 		s.VisitShardParked(i, func(bc, lc int, f phys.Frame) {
-			claim(f, ownerColorList, fmt.Sprintf("shard %d color list [%d][%d]", i, bc, lc))
+			claim(f, ownerColorList, func() string { return fmt.Sprintf("shard %d color list [%d][%d]", i, bc, lc) })
 			if li, ok := row[bc]; ok && lc >= 0 && lc < m.NumLLCColors() {
 				nonEmpty[li*m.NumLLCColors()+lc] = true
 			}
@@ -145,7 +148,7 @@ func AuditServer(s *serve.Server) *Report {
 	holder := make(map[phys.Frame]int)
 	var held []phys.Frame // ascending, for deterministic violation order
 	s.VisitOutstanding(func(f phys.Frame, clientID int) {
-		claim(f, ownerClient, fmt.Sprintf("client %d", clientID))
+		claim(f, ownerClient, func() string { return fmt.Sprintf("client %d", clientID) })
 		r.Mapped++
 		if clientID >= len(clients) {
 			r.addf("frame %d owned by unknown client %d", f, clientID)

@@ -46,6 +46,9 @@ func buildFreqmine(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 			rng := rngFor(p, i)
 			nodeVAs[i] = make([]uint64, 0, nNodes)
 			for k := 0; k < nNodes; k++ {
+				if !yield(engine.Sync) {
+					return
+				}
 				va, err := th.Heap.Malloc(freqmineNodeSize)
 				if err != nil {
 					return
@@ -65,11 +68,7 @@ func buildFreqmine(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 			}
 		}
 	}
-	// build-tree must NOT be Batched: Heap.Malloc between yields
-	// advances the process-wide VA bump pointer, so running a body
-	// ahead of its scheduled ops would reorder allocations across
-	// threads and change every node address.
-	phases := []engine.Phase{engine.Parallel("build-tree", buildBodies)}
+	phases := []engine.Phase{engine.Parallel("build-tree", buildBodies).Batch()}
 
 	mineBodies := make([]engine.Work, n)
 	for i := range threads {

@@ -62,15 +62,16 @@ func buildGarbage(threads []engine.Thread, p Params, s GarbageSpec) ([]engine.Ph
 	// live[i] holds thread i's live block addresses.
 	live := make([][]uint64, n)
 
-	// Ramp: build the live set. Malloc between yields advances the
-	// process-wide VA bump pointer, so churny phases must NOT be
-	// Batched (see the freqmine build-tree rationale).
+	// Ramp: build the live set.
 	rampBodies := make([]engine.Work, n)
 	for i := range threads {
 		th, i := threads[i], i
 		rampBodies[i] = func(yield func(engine.Op) bool) {
 			live[i] = make([]uint64, 0, liveN)
 			for k := 0; k < liveN; k++ {
+				if !yield(engine.Sync) {
+					return
+				}
 				va, err := th.Heap.Malloc(block)
 				if err != nil {
 					return
@@ -82,7 +83,7 @@ func buildGarbage(threads []engine.Thread, p Params, s GarbageSpec) ([]engine.Ph
 			}
 		}
 	}
-	phases := []engine.Phase{engine.Parallel("ramp", rampBodies)}
+	phases := []engine.Phase{engine.Parallel("ramp", rampBodies).Batch()}
 
 	churnBodies := make([]engine.Work, n)
 	for i := range threads {
@@ -98,6 +99,9 @@ func buildGarbage(threads []engine.Thread, p Params, s GarbageSpec) ([]engine.Ph
 				// newcomer (the address usually recycles through the
 				// size-class free list).
 				v := rng.Intn(len(blocks))
+				if !yield(engine.Sync) {
+					return
+				}
 				if th.Heap.Free(blocks[v]) != nil {
 					return
 				}
@@ -117,6 +121,6 @@ func buildGarbage(threads []engine.Thread, p Params, s GarbageSpec) ([]engine.Ph
 			}
 		}
 	}
-	phases = append(phases, engine.Parallel("churn", churnBodies))
+	phases = append(phases, engine.Parallel("churn", churnBodies).Batch())
 	return phases, nil
 }

@@ -105,6 +105,9 @@ func buildHeteroMix(threads []engine.Thread, p Params, s HeteroSpec) ([]engine.P
 			initBodies[i] = func(yield func(engine.Op) bool) {
 				live[i] = make([]uint64, 0, heteroChurnLive)
 				for b := 0; b < heteroChurnLive; b++ {
+					if !yield(engine.Sync) {
+						return
+					}
 					va, err := th.Heap.Malloc(heteroChurnBlock)
 					if err != nil {
 						return
@@ -119,7 +122,7 @@ func buildHeteroMix(threads []engine.Thread, p Params, s HeteroSpec) ([]engine.P
 			initBodies[i] = func(yield func(engine.Op) bool) {}
 		}
 	}
-	phases := []engine.Phase{engine.Parallel("init", initBodies)}
+	phases := []engine.Phase{engine.Parallel("init", initBodies).Batch()}
 
 	for e := 0; e < epochs; e++ {
 		bodies := make([]engine.Work, n)
@@ -164,6 +167,9 @@ func buildHeteroMix(threads []engine.Thread, p Params, s HeteroSpec) ([]engine.P
 					}
 					for a := uint64(0); a < churnAllocs; a++ {
 						v := rng.Intn(len(blocks))
+						if !yield(engine.Sync) {
+							return
+						}
 						if th.Heap.Free(blocks[v]) != nil {
 							return
 						}
@@ -181,13 +187,16 @@ func buildHeteroMix(threads []engine.Thread, p Params, s HeteroSpec) ([]engine.P
 					}
 					// End-of-epoch trim: hand empty slabs back and give
 					// the kernel its reclaim window, like a GC cycle.
+					if !yield(engine.Sync) {
+						return
+					}
 					if _, err := th.Heap.Trim(); err != nil {
 						return
 					}
 				}
 			}
 		}
-		phases = append(phases, engine.Parallel(fmt.Sprintf("epoch%02d", e), bodies))
+		phases = append(phases, engine.Parallel(fmt.Sprintf("epoch%02d", e), bodies).Batch())
 	}
 	return phases, nil
 }

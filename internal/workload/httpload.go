@@ -97,6 +97,9 @@ func buildHTTP(threads []engine.Thread, p Params, s HTTPSpec) ([]engine.Phase, e
 			rng := rngFor(p, 900000+i)
 			for r := uint64(0); r < requests; r++ {
 				// Accept: scratch buffer for the request/response pair.
+				if !yield(engine.Sync) {
+					return
+				}
 				buf, err := th.Heap.Malloc(httpReqBytes)
 				if err != nil {
 					return
@@ -124,14 +127,15 @@ func buildHTTP(threads []engine.Thread, p Params, s HTTPSpec) ([]engine.Phase, e
 					}
 				}
 				// Respond and release.
+				if !yield(engine.Sync) {
+					return
+				}
 				if th.Heap.Free(buf) != nil {
 					return
 				}
 			}
 		}
 	}
-	// Per-request Malloc/Free mutates process-wide heap state between
-	// yields, so the serve phase must not be Batched.
-	phases = append(phases, engine.Parallel("serve", serveBodies))
+	phases = append(phases, engine.Parallel("serve", serveBodies).Batch())
 	return phases, nil
 }

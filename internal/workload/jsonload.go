@@ -108,6 +108,9 @@ func buildJSON(threads []engine.Thread, p Params, s JSONSpec) ([]engine.Phase, e
 						return
 					}
 					off += phys.LineSize
+					if !yield(engine.Sync) {
+						return
+					}
 					va, err := th.Heap.Malloc(jsonNodeSize)
 					if err != nil {
 						return
@@ -137,6 +140,9 @@ func buildJSON(threads []engine.Thread, p Params, s JSONSpec) ([]engine.Phase, e
 				// Release the document tree before the next one: the
 				// decode/encode cycle of the original is
 				// allocate-heavy but steady-state.
+				if !yield(engine.Sync) {
+					return
+				}
 				for _, va := range nodes {
 					if th.Heap.Free(va) != nil {
 						return
@@ -145,8 +151,6 @@ func buildJSON(threads []engine.Thread, p Params, s JSONSpec) ([]engine.Phase, e
 			}
 		}
 	}
-	// Malloc/Free between yields: must not be Batched (freqmine
-	// build-tree rationale).
-	phases = append(phases, engine.Parallel("decode-encode", workBodies))
+	phases = append(phases, engine.Parallel("decode-encode", workBodies).Batch())
 	return phases, nil
 }

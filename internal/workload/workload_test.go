@@ -111,6 +111,13 @@ func TestAllWorkloadsRunUnderAllPolicies(t *testing.T) {
 				if len(phases) == 0 {
 					t.Fatal("no phases")
 				}
+				// Built-in bodies mark their side effects with
+				// engine.Sync, so every phase can be pulled in blocks.
+				for _, ph := range phases {
+					if !ph.Batched {
+						t.Errorf("phase %q is not Batched", ph.Name)
+					}
+				}
 				res, err := r.e.Run(phases)
 				if err != nil {
 					t.Fatal(err)
