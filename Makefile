@@ -52,7 +52,7 @@ bench-gate:
 
 # Zero-allocation gate, two halves (see CONTRIBUTING.md):
 #   1. The AllocsPerRun tests pin the serve colored fast path and the
-#      batched-refill round trip at exactly 0 allocs/op. They must
+#      inline refill miss at exactly 0 allocs/op. They must
 #      run without -race (the race detector's instrumentation
 #      allocates; under -race they skip themselves).
 #   2. tintstat -exact-allocs checks the engine harness's measured
@@ -69,10 +69,11 @@ alloc-gate:
 		BENCH_smoke_baseline.json /tmp/tint_alloc.json
 
 # Concurrent front-end shakeout: the kernel-vs-serve differential
-# test and the all-cores hammer, both under the race detector (see
-# DESIGN.md Sec. 11).
+# test, the all-cores hammer, concurrent misses sharing a shatter and
+# Close landing mid-refill, all under the race detector (see DESIGN.md
+# Sec. 11).
 serve-smoke:
-	$(GO) test -race -run 'TestDifferentialKernelVsServe|TestHammer' ./internal/serve
+	$(GO) test -race -run 'TestDifferentialKernelVsServe|TestHammer|TestConcurrentMissesShareShatter|TestCloseDuringRefill' ./internal/serve
 
 # Wire-path shakeout: the client<->daemon differential (byte-identical
 # scheduler results and serving counters under all three admission

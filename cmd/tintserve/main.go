@@ -3,14 +3,14 @@
 // engaged NUMA nodes under a MEM+LLC color plan, churns allocations
 // from all of them at once, audits the final state with the
 // cross-shard invariant checker, and prints the serving counters —
-// colored hit rate, batched-refill amortization, backpressure
+// colored hit rate, refill passes and block shatters, backpressure
 // rejections and degradation-ladder traffic.
 //
 // Usage:
 //
 //	tintserve                              # 16 clients over all 4 shards
 //	tintserve -nodes 1 -clients 16         # same load on a single shard
-//	tintserve -ops 100000 -queue 64 -highwater 48 -batch 16
+//	tintserve -ops 100000 -highwater 48 -stripes 4
 //	tintserve -disable-borrow              # paper-faithful fail-hard mode
 //
 // Exit status is 0 on a clean audited run, 1 on a runtime failure,
@@ -32,9 +32,7 @@ type options struct {
 	clients   int
 	ops       int
 	memGiB    float64
-	queue     int
 	highwater int
-	batch     int
 	stripes   int
 	noBorrow  bool
 }
@@ -57,15 +55,8 @@ func validate(o options) error {
 	if o.memGiB <= 0 {
 		return fmt.Errorf("-mem %g: installed memory must be positive", o.memGiB)
 	}
-	if o.queue < 0 || o.highwater < 0 || o.batch < 0 || o.stripes < 0 {
-		return fmt.Errorf("-queue/-highwater/-batch/-stripes must not be negative")
-	}
-	effQueue := o.queue
-	if effQueue == 0 {
-		effQueue = serve.DefaultQueueDepth
-	}
-	if o.highwater > effQueue {
-		return fmt.Errorf("-highwater %d exceeds queue depth %d", o.highwater, effQueue)
+	if o.highwater < 0 || o.stripes < 0 {
+		return fmt.Errorf("-highwater/-stripes must not be negative")
 	}
 	return nil
 }
@@ -76,9 +67,7 @@ func main() {
 	flag.IntVar(&o.clients, "clients", 16, "concurrent clients")
 	flag.IntVar(&o.ops, "ops", 20000, "churn operations per client")
 	flag.Float64Var(&o.memGiB, "mem", 2, "installed physical memory in GiB")
-	flag.IntVar(&o.queue, "queue", 0, "refill queue depth per shard (0 = default 256)")
-	flag.IntVar(&o.highwater, "highwater", 0, "in-flight refill high-water mark (0 = 3/4 of queue)")
-	flag.IntVar(&o.batch, "batch", 0, "max refill requests amortized per batch (0 = default 32)")
+	flag.IntVar(&o.highwater, "highwater", 0, "concurrent refills per shard before ErrBusy (0 = default 192)")
 	flag.IntVar(&o.stripes, "stripes", 0, "lock stripes per shard's color lists (0 = default 16)")
 	flag.BoolVar(&o.noBorrow, "disable-borrow", false, "fail with ErrNoMemory instead of walking the cross-shard ladder")
 	flag.Parse()
@@ -90,9 +79,7 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		QueueDepth:    o.queue,
 		HighWater:     o.highwater,
-		BatchMax:      o.batch,
 		Stripes:       o.stripes,
 		DisableBorrow: o.noBorrow,
 	}
@@ -129,11 +116,7 @@ func main() {
 	fmt.Printf("%-24s %12d\n", "frees", st.Frees)
 	fmt.Printf("%-24s %12d\n", "refills (shatters)", st.Refills)
 	fmt.Printf("%-24s %12d\n", "refill frames", st.RefillFrames)
-	fmt.Printf("%-24s %12d\n", "worker batches", st.Batches)
-	fmt.Printf("%-24s %12d\n", "batched requests", st.BatchedReqs)
-	if st.Batches > 0 {
-		fmt.Printf("%-24s %12.2f\n", "requests per batch", float64(st.BatchedReqs)/float64(st.Batches))
-	}
+	fmt.Printf("%-24s %12d\n", "refill passes", st.Batches)
 	fmt.Printf("%-24s %12d\n", "busy rejections", st.Rejected)
 	fmt.Printf("%-24s %12d\n", "client retries", cell.Retries)
 }

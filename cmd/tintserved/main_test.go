@@ -45,12 +45,8 @@ func TestValidateOptions(t *testing.T) {
 		{name: "defaults", mutate: func(o *options) {}},
 		{name: "zero mem", mutate: func(o *options) { o.memGiB = 0 }, wantErr: true},
 		{name: "negative mem", mutate: func(o *options) { o.memGiB = -1 }, wantErr: true},
-		{name: "negative queue", mutate: func(o *options) { o.queue = -1 }, wantErr: true},
 		{name: "negative stripes", mutate: func(o *options) { o.stripes = -4 }, wantErr: true},
-		{name: "highwater over explicit queue", mutate: func(o *options) { o.queue = 64; o.highwater = 65 }, wantErr: true},
-		{name: "highwater over default queue", mutate: func(o *options) { o.highwater = 257 }, wantErr: true},
-		{name: "highwater at queue", mutate: func(o *options) { o.queue = 64; o.highwater = 64 }},
-		{name: "highwater at default queue", mutate: func(o *options) { o.highwater = 256 }},
+		{name: "large highwater accepted", mutate: func(o *options) { o.highwater = 256 }},
 		{name: "bad listen", mutate: func(o *options) { o.listen = "carrier-pigeon" }, wantErr: true},
 	}
 	for _, c := range cases {

@@ -126,7 +126,7 @@ type GoSpawn struct {
 // literals (including goroutine bodies) are separate summaries.
 type FuncSummary struct {
 	Obj      *types.Func // nil for function literals
-	Name     string      // "(*shard).serveBatch", "func@shard.go:292", ...
+	Name     string      // "(*shard).refill", "func@shard.go:292", ...
 	Node     ast.Node    // *ast.FuncDecl or *ast.FuncLit
 	Locks    []*LockEvent
 	Blocks   []BlockEvent

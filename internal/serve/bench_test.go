@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/phys"
@@ -41,12 +42,12 @@ func freeAll(b *testing.B, c *Client, held []phys.Frame) {
 	}
 }
 
-// requireNoBatches fails the benchmark if a refill batch ran after
+// requireNoRefills fails the benchmark if a refill pass ran after
 // before was read: the timed loop left the fast path.
-func requireNoBatches(b *testing.B, s *Server, before uint64) {
+func requireNoRefills(b *testing.B, s *Server, before uint64) {
 	b.Helper()
 	if got := s.Stats().Batches; got != before {
-		b.Fatalf("%d refill batches during the timed loop; it left the fast path", got-before)
+		b.Fatalf("%d refill passes during the timed loop; it left the fast path", got-before)
 	}
 }
 
@@ -73,7 +74,7 @@ func BenchmarkAllocFast(b *testing.B) {
 		held = append(held, f)
 	}
 	b.StopTimer()
-	requireNoBatches(b, s, before)
+	requireNoRefills(b, s, before)
 }
 
 // BenchmarkFree times one Free of a colored frame (the repark), with
@@ -102,15 +103,14 @@ func BenchmarkFree(b *testing.B) {
 		held = held[:len(held)-1]
 	}
 	b.StopTimer()
-	requireNoBatches(b, s, before)
+	requireNoRefills(b, s, before)
 }
 
 // BenchmarkAllocBorrowDry times the regime past a client's colored
 // supply on a dry zone, as serve_churn drives it: the serve_churn
 // machine and MEM+LLC plan, with the node-0 client grown until the
 // ladder serves it. Each op is one Alloc that misses the color lists,
-// crosses the refill queue, fails the shatter and walks the borrow
-// ladder, plus the Free that reparks the borrowed frame — the fast
+// fails the inline shatter and walks the borrow ladder, plus the Free that reparks the borrowed frame — the fast
 // repark BenchmarkFree times alone — so every op starts from the same
 // state.
 func BenchmarkAllocBorrowDry(b *testing.B) {
@@ -166,5 +166,117 @@ func BenchmarkAllocBorrowDry(b *testing.B) {
 	}
 	if after.Refills != st.Refills {
 		b.Fatalf("%d block shatters during the timed loop; the zone was not dry", after.Refills-st.Refills)
+	}
+}
+
+// BenchmarkAllocRefill times the inline refill: each op is one colored
+// Alloc whose lists are empty while the zone is not, so it shatters a
+// block under zoneMu and pops the page that shatter parked, plus the
+// Free that reparks the page. The client claims every color of node 0
+// and the zone is cut into single free pages, so every shatter parks
+// exactly one page. Outside the timer, each batch's reparked pages go
+// back to the zone as single free pages, so every op starts from the
+// same state.
+func BenchmarkAllocRefill(b *testing.B) {
+	s, m, top := testServer(b, Config{})
+	sh := s.shards[0]
+	half := int(m.Frames()) / m.Nodes() / 2
+	grab := func(c *Client, n int) []phys.Frame {
+		held := make([]phys.Frame, 0, n)
+		for len(held) < n {
+			f, err := c.Alloc()
+			if err != nil {
+				b.Fatal(err)
+			}
+			held = append(held, f)
+		}
+		return held
+	}
+	// An uncolored client takes node 0's whole zone and returns the
+	// lower half; the colored client shatters that half and keeps it,
+	// so every bucket has held a page (its stack has capacity). Then
+	// every other page of the upper half goes back: only single pages
+	// stay free.
+	u, err := s.NewClient(top.CoresOfNode(0)[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	pages := grab(u, 2*half)
+	freeIf := func(keep func(rel int) bool) {
+		for _, f := range pages {
+			if !keep(int(f - sh.base)) {
+				if err := u.Free(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	freeIf(func(rel int) bool { return rel >= half })
+	c, err := s.NewClient(top.CoresOfNode(0)[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.SetColors(m.BankColorsOfNode(0), allLLC(m)); err != nil {
+		b.Fatal(err)
+	}
+	grab(c, half)
+	if sh.parkedN.Load() != 0 {
+		b.Fatal("pages left parked after the warm-up")
+	}
+	freeIf(func(rel int) bool { return rel < half || rel%2 == 1 })
+	held := make([]phys.Frame, 0, fastPathBatch)
+	// unpark pops the pages the timed Frees reparked and returns them
+	// to the zone as free single pages, undoing the batch's shatters.
+	unpark := func() {
+		for range held {
+			f, ok := sh.popMatch(c, 0, s)
+			if !ok {
+				b.Fatal("reparked page missing")
+			}
+			s.colored[f].Store(false)
+			sh.zoneMu.Lock()
+			err := sh.zone.Free(f-sh.base, 0)
+			sh.zoneMu.Unlock()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		held = held[:0]
+	}
+	before := s.Stats().Refills
+	var ms runtime.MemStats
+	var mallocs uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		start := ms.Mallocs
+		b.StartTimer()
+		for n := min(fastPathBatch, b.N-done); len(held) < n; {
+			f, err := c.Alloc()
+			if err != nil {
+				b.Fatal(err)
+			}
+			held = append(held, f)
+		}
+		for _, f := range held {
+			if err := c.Free(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - start
+		done += len(held)
+		unpark()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	if got := s.Stats().Refills - before; got != uint64(b.N) {
+		b.Fatalf("%d block shatters for %d ops; the loop left the one-page refill", got, b.N)
+	}
+	if !raceEnabled && mallocs != 0 {
+		b.Fatalf("%d heap allocations over %d ops, want 0", mallocs, b.N)
 	}
 }

@@ -25,8 +25,8 @@ func newCloseTestServer(t *testing.T) *Server {
 
 // TestCloseIdempotent pins the repeated-shutdown contract: every
 // Close call — first, second, concurrent — returns only after the
-// refill workers have exited, and none panics on the already-closed
-// stop channel.
+// background workers have exited, and none panics on the
+// already-closed stop channel.
 func TestCloseIdempotent(t *testing.T) {
 	s := newCloseTestServer(t)
 	s.Close()
@@ -37,10 +37,9 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestConcurrentClose races many Close calls against live allocation
-// traffic. Run under -race this is the satellite's real assertion:
-// no double channel close, no send on closed channel from a refill
-// enqueue that lost the race, and every closer blocks until workers
-// are gone.
+// traffic. Run under -race this is the real assertion: no double
+// channel close, no data race between a closing server and a refill
+// under way, and every closer blocks until workers are gone.
 func TestConcurrentClose(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		s := newCloseTestServer(t)

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/tintmalloc/tintmalloc/internal/invariant"
 	"github.com/tintmalloc/tintmalloc/internal/kernel"
@@ -317,8 +318,217 @@ func TestHammerDefaults(t *testing.T) {
 	hammer(t, serve.Config{}, 400)
 }
 
-// Tiny queues force the ErrBusy path and single-request batches while
-// the same invariants must hold.
+// A tiny high-water mark forces the ErrBusy path while the same
+// invariants must hold.
 func TestHammerTinyQueues(t *testing.T) {
-	hammer(t, serve.Config{QueueDepth: 4, HighWater: 2, BatchMax: 2, Stripes: 2}, 250)
+	hammer(t, serve.Config{HighWater: 2, Stripes: 2}, 250)
+}
+
+// waitRefills waits until n refills are running on shard 0.
+func waitRefills(t *testing.T, s *serve.Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for serve.PendingRefills(s, 0) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d clients reached their refill", serve.PendingRefills(s, 0), n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestCloseDuringRefill closes the server while clients are mid-miss.
+// Eight colored clients on node 0 allocate past their one-bucket
+// claims, until the zone is dry and every further Alloc misses. The
+// test then holds shard 0's zone lock and lets each client allocate
+// once more, so every client stops inside its refill; Close must
+// return with those refills still waiting. Released, each refill
+// completes (Close refuses new work but does not cut a refill short)
+// and the client's next Alloc fails ErrClosed. Every frame is then
+// owned, parked or free, and serve.New without compaction has started
+// no goroutine that could outlive Close.
+func TestCloseDuringRefill(t *testing.T) {
+	top, m := bootPair(t)
+	baseline := runtime.NumGoroutine()
+	s, err := serve.New(top, m, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("serve.New started %d goroutines without compaction", n-baseline)
+	}
+	const clients, warm = 8, 16 // a claim holds 4 frames of node 0
+	banks := m.BankColorsOfNode(0)
+	cores := top.CoresOfNode(0)
+	var ready, wg sync.WaitGroup
+	resume := make(chan struct{})
+	owned := make([][]phys.Frame, clients)
+	errs := make([]error, clients)
+	// Every claim is in place before any client allocates, so no
+	// borrow takes a color a later claim assigns.
+	cs := make([]*serve.Client, clients)
+	for i := range cs {
+		c, err := s.NewClient(cores[i%len(cores)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetColors(banks[i:i+1], []int{i}); err != nil {
+			t.Fatal(err)
+		}
+		cs[i] = c
+	}
+	for i, c := range cs {
+		ready.Add(1)
+		wg.Add(1)
+		go func(i int, c *serve.Client) {
+			defer wg.Done()
+			for len(owned[i]) < warm {
+				f, err := c.Alloc()
+				if err != nil {
+					errs[i] = err
+					ready.Done()
+					return
+				}
+				owned[i] = append(owned[i], f)
+			}
+			ready.Done()
+			<-resume
+			for {
+				f, err := c.Alloc()
+				if errors.Is(err, serve.ErrClosed) {
+					return
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				owned[i] = append(owned[i], f)
+			}
+		}(i, c)
+	}
+	ready.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d warm-up: %v", i, err)
+		}
+	}
+	serve.LockZone(s, 0)
+	close(resume)
+	waitRefills(t, s, clients)
+	s.Close()
+	serve.UnlockZone(s, 0)
+	wg.Wait()
+	var total uint64
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+		if len(owned[i]) != warm+1 {
+			t.Fatalf("client %d holds %d frames, want %d: the waiting refill should complete, then ErrClosed", i, len(owned[i]), warm+1)
+		}
+		total += uint64(len(owned[i]))
+	}
+	if r := auditServerClean(t, s); r.Mapped != total {
+		t.Fatalf("server outstanding = %d, clients hold %d", r.Mapped, total)
+	}
+	if got := serve.PendingRefills(s, 0); got != 0 {
+		t.Fatalf("%d refills still counted after Close", got)
+	}
+	for i, c := range cs {
+		for _, f := range owned[i] {
+			if err := c.Free(f); err != nil {
+				t.Fatalf("client %d free after Close: %v", i, err)
+			}
+		}
+	}
+	if r := auditServerClean(t, s); r.Mapped != 0 || r.Loans != 0 {
+		t.Fatalf("after freeing everything: %d outstanding, %d loans", r.Mapped, r.Loans)
+	}
+	// The clients' goroutines exit just after wg.Done; wait for them.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlived Close", runtime.NumGoroutine()-baseline)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestConcurrentMissesShareShatter runs eight clients with identical
+// claims on node 0, allocating N frames between them at once. A miss
+// that queued on the zone lock behind another miss's shatter must take
+// its frame from the pages that shatter parked, not shatter again: the
+// server may break no more blocks than one client needs for N
+// allocations on a fresh server.
+func TestConcurrentMissesShareShatter(t *testing.T) {
+	const goroutines, perClient = 8, 40
+	top := topology.Opteron6128()
+	boot := func() (*serve.Server, *phys.Mapping) {
+		m, err := phys.DefaultSeparable(1<<30, top.Nodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := serve.New(top, m, serve.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s, m
+	}
+	claim := func(s *serve.Server, m *phys.Mapping) *serve.Client {
+		c, err := s.NewClient(top.CoresOfNode(0)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetColors(m.BankColorsOfNode(0)[:4], []int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	solo, m := boot()
+	c := claim(solo, m)
+	for i := 0; i < goroutines*perClient; i++ {
+		if _, err := c.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := solo.Stats().Refills
+
+	// Every client's first Alloc misses the empty lists; holding the
+	// zone lock until all of them wait on it makes the first shatter
+	// one that seven misses queued behind.
+	s, m := boot()
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	serve.LockZone(s, 0)
+	for i := 0; i < goroutines; i++ {
+		c := claim(s, m)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < perClient; n++ {
+				if _, err := c.Alloc(); err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		}(i)
+	}
+	waitRefills(t, s, goroutines)
+	serve.UnlockZone(s, 0)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	st := s.Stats()
+	if st.Refills > want {
+		t.Errorf("%d shatters for %d concurrent allocations; one client needs %d", st.Refills, goroutines*perClient, want)
+	}
+	if st.DegradedAllocs() != 0 {
+		t.Errorf("%d allocations borrowed within the claim's capacity", st.DegradedAllocs())
+	}
+	if r := auditServerClean(t, s); r.Mapped != goroutines*perClient {
+		t.Fatalf("server outstanding = %d, want %d", r.Mapped, goroutines*perClient)
+	}
 }

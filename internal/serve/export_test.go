@@ -12,3 +12,11 @@ func FlipOccupancyBit(s *Server, i, bc, lc int) {
 		w.Or(bit)
 	}
 }
+
+// LockZone and UnlockZone hold shard i's zone lock, so external tests
+// can stop allocating clients inside their refill.
+func LockZone(s *Server, i int)   { s.shards[i].zoneMu.Lock() }
+func UnlockZone(s *Server, i int) { s.shards[i].zoneMu.Unlock() }
+
+// PendingRefills returns the number of refills running on shard i.
+func PendingRefills(s *Server, i int) int { return int(s.shards[i].pending.Load()) }

@@ -30,8 +30,8 @@ type Stats struct {
 	Loans         int    // currently outstanding below-preferred frames
 	Refills       uint64 // block shatters across all shards
 	RefillFrames  uint64 // frames moved zone -> color lists
-	Batches       uint64 // refill worker batches
-	BatchedReqs   uint64 // refill requests across those batches
+	Batches       uint64 // refill passes: misses that took the refill path
+	BatchedReqs   uint64 // requests served by those passes (one each: a miss refills inline)
 	Rejected      uint64 // ErrBusy rejections (backpressure)
 	Parked        uint64 // frames currently on color lists
 	FreeFrames    uint64 // frames currently in buddy zones
@@ -70,8 +70,9 @@ func (s *Server) Stats() Stats {
 	for _, sh := range s.shards {
 		st.Refills += sh.refills.Load()
 		st.RefillFrames += sh.refillFrames.Load()
-		st.Batches += sh.batches.Load()
-		st.BatchedReqs += sh.batchedReqs.Load()
+		passes := sh.refillPasses.Load()
+		st.Batches += passes
+		st.BatchedReqs += passes
 		st.Rejected += sh.rejected.Load()
 		st.Parked += uint64(sh.parkedN.Load())
 		sh.zoneMu.Lock()

@@ -204,9 +204,8 @@ func (c *OffloadClient) do(r offReq) (phys.Frame, error) {
 
 // coreLoop is one allocation core: poll every lane's request ring,
 // execute requests against the lane's inline client, and push the
-// reply. Each inner client is driven only by this goroutine, so the
-// zero-allocation refill path (the client's reusable request slot)
-// is preserved under offload.
+// reply. Each inner client is driven only by this goroutine, so its
+// allocations, refills included, run on the allocation core.
 func (o *Offload) coreLoop(ac *allocCore) {
 	defer o.wg.Done()
 	for {

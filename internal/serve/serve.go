@@ -4,9 +4,8 @@
 // serves colored order-0 allocations to many pinned threads at once;
 // internal/kernel reproduces the *policy* of that path faithfully but
 // serializes every call under the discrete-event engine. This package
-// supplies the missing serving architecture, in the spirit of
-// SpeedMalloc's dedicated allocation-serving core and Vertical Memory
-// Management's partitioned per-policy zones (PAPERS.md):
+// supplies the missing serving architecture, in the spirit of Vertical
+// Memory Management's partitioned per-policy zones (PAPERS.md):
 //
 //   - The machine's color space is sharded per NUMA node. Each shard
 //     owns a disjoint slice of the bank/LLC color matrix — the columns
@@ -19,14 +18,15 @@
 //     occupancy bitmap (one bit per bucket, set iff it is non-empty)
 //     lets a search find the claim's first non-empty bucket with a
 //     few word operations instead of a lock per (bank, LLC) cell.
-//   - Refills are batched: a client that misses its color lists posts
-//     a request to the shard's bounded refill queue; the shard's
-//     worker drains the queue in batches and amortizes each
-//     create_color_list block shatter (paper Algorithm 2) across every
-//     waiting request it can satisfy.
-//   - Backpressure is explicit: past a high-water mark of in-flight
-//     refill requests the shard rejects with ErrBusy instead of
-//     growing an unbounded queue — callers retry or shed load.
+//   - Refills run inline: a client that misses its color lists takes
+//     the shard's zone lock and runs create_color_list (paper
+//     Algorithm 2) itself, as Algorithm 1 does in the kernel. Misses
+//     that queue behind a block shatter re-try the lists first, so one
+//     shatter serves every waiter whose color it parked.
+//   - Backpressure is explicit: past a high-water mark of refills
+//     running on one shard, the shard rejects with ErrBusy instead of
+//     queueing more waiters on its zone lock — callers retry or shed
+//     load.
 //   - Exhaustion composes with the PR-4 degradation ladder: a drained
 //     shard borrows in the same rung order the sequential kernel walks
 //     (same-node unassigned color, local uncolored, remote), records
@@ -59,12 +59,16 @@ import (
 	"github.com/tintmalloc/tintmalloc/internal/topology"
 )
 
+// cacheLine is the span a pad must cover to keep a hot written field
+// off the cache line of fields that other CPUs read.
+const cacheLine = 64
+
 // Sentinel errors.
 var (
-	// ErrBusy reports backpressure: the shard's refill queue is past
-	// its high-water mark. The allocation was not attempted; callers
-	// retry or shed load.
-	ErrBusy = errors.New("serve: shard refill queue past high-water mark")
+	// ErrBusy reports backpressure: the shard's concurrent refills are
+	// past its high-water mark. The allocation was not attempted;
+	// callers retry or shed load.
+	ErrBusy = errors.New("serve: shard refills past high-water mark")
 	// ErrNoMemory reports machine-wide exhaustion: the borrow ladder
 	// swept every shard's zone and color lists and found nothing.
 	ErrNoMemory = errors.New("serve: out of memory on every shard")
@@ -75,23 +79,11 @@ var (
 	ErrNotOwner = errors.New("serve: freeing a frame the client does not own")
 )
 
-// DefaultQueueDepth is the per-shard refill queue depth a zero
-// Config.QueueDepth selects. Exported so command-line front-ends can
-// validate high-water marks against the depth that will actually be
-// used.
-const DefaultQueueDepth = 256
-
 // Config tunes the serving layer. The zero value selects defaults.
 type Config struct {
-	// QueueDepth bounds each shard's refill request queue (default 256).
-	QueueDepth int
-	// HighWater is the in-flight refill count above which the shard
-	// rejects with ErrBusy (default 3/4 of QueueDepth, clamped to
-	// [1, QueueDepth]).
+	// HighWater caps the refills running concurrently on one shard;
+	// a miss past it fails with ErrBusy (default 192).
 	HighWater int
-	// BatchMax bounds how many queued refill requests one worker batch
-	// drains and amortizes a block shatter across (default 32).
-	BatchMax int
 	// Stripes is the number of lock stripes over each shard's color
 	// buckets (default 16).
 	Stripes int
@@ -107,26 +99,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = DefaultQueueDepth
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 32
-	}
 	if c.Stripes <= 0 {
 		c.Stripes = 16
 	}
 	if c.HighWater <= 0 {
-		c.HighWater = c.QueueDepth * 3 / 4
-	}
-	if c.HighWater < 1 {
-		c.HighWater = 1
-	}
-	// In-flight requests are capped at HighWater before they are
-	// enqueued, so HighWater <= QueueDepth guarantees the queue send
-	// never blocks a client.
-	if c.HighWater > c.QueueDepth {
-		c.HighWater = c.QueueDepth
+		c.HighWater = 192
 	}
 	return c
 }
@@ -175,13 +152,16 @@ type Server struct {
 	closeOnce sync.Once
 	stop      chan struct{}
 	wg        sync.WaitGroup
-	stats     serverStats
+	// stats is written by every Alloc and Free; the pad keeps it off
+	// the cache line of closed and the other fields every Alloc reads.
+	_     [cacheLine]byte
+	stats serverStats
 }
 
 // New boots a server over the machine: one shard per NUMA node, each
 // owning the node's frame range as a fresh buddy zone and the node's
 // slice of the bank-color space. Call Close when done to stop the
-// refill workers.
+// compaction workers, if CompactBudget started any.
 func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, error) {
 	if topo.Nodes() != mapping.Nodes() {
 		return nil, fmt.Errorf("serve: topology nodes %d != mapping nodes %d",
@@ -213,10 +193,6 @@ func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, e
 		}
 		s.shards = append(s.shards, sh)
 	}
-	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go sh.worker(s)
-	}
 	if cfg.CompactBudget > 0 {
 		s.compactKick = make([]chan struct{}, len(s.shards))
 		for i := range s.shards {
@@ -228,8 +204,9 @@ func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, e
 	return s, nil
 }
 
-// Close stops the refill workers. In-flight refill requests fail with
-// ErrClosed; outstanding frames stay recorded so a post-close audit
+// Close refuses new work with ErrClosed and stops the compaction
+// workers. An Alloc already past its closed check completes, refill
+// included; outstanding frames stay recorded so a post-close audit
 // still balances. Close is idempotent and safe to call concurrently
 // with itself and with in-flight NewClient/Alloc calls: every caller
 // returns only after the workers have exited (sync.Once serializes
@@ -258,8 +235,6 @@ func (s *Server) NewClient(core topology.CoreID) (*Client, error) {
 		core:      core,
 		nodeOrder: nodeOrderFor(s.topo, core),
 	}
-	c.req.c = c
-	c.req.resp = make(chan refillResult, 1)
 	s.clientMu.Lock()
 	c.id = len(s.clients)
 	s.clients = append(s.clients, c)
@@ -308,16 +283,11 @@ type Client struct {
 	// cursor rotates allocations over the client's color combinations
 	// so heap pages spread evenly, exactly as the kernel's comboCursor
 	// does; atomic so a client may be driven from several goroutines.
+	// It is written by every Alloc; the pads keep it off the cache lines
+	// of neighbouring heap objects, such as another client's fields.
+	_      [cacheLine]byte
 	cursor atomic.Uint64
-
-	// req is the client's reusable refill request with its persistent
-	// one-slot response channel, so the miss path allocates nothing.
-	// reqBusy guards it: held from enqueue to result, and kept set
-	// forever if the request is abandoned at shutdown (the worker may
-	// still hold the pointer, so the slot must never be recycled —
-	// concurrent same-client misses fall back to a fresh allocation).
-	req     refillReq
-	reqBusy atomic.Bool
+	_      [cacheLine - 8]byte
 
 	// relocate is the client's compaction swap callback (see
 	// SetRelocator); nil while the client opts out.
@@ -404,7 +374,7 @@ func (c *Client) SetColors(bank, llc []int) error {
 
 // Alloc hands the client one order-0 frame under its color claim: the
 // concurrent Algorithm 1. Colored clients hit their shard's striped
-// color lists, fall back to a batched refill, and finally walk the
+// color lists, fall back to an inline refill, and finally walk the
 // borrow ladder; uncolored clients take shard zones in node-fallback
 // order. Returns ErrBusy under backpressure (nothing was allocated)
 // and ErrNoMemory only on machine-wide exhaustion.
@@ -468,8 +438,8 @@ func (c *Client) Realloc(old phys.Frame) (phys.Frame, error) {
 }
 
 // allocColored serves a colored client: striped-list fast path on the
-// routed shard, then a batched refill request, whose worker walks the
-// borrow ladder if the shard is drained.
+// routed shard, then an inline refill, which walks the borrow ladder
+// if the shard is drained.
 func (s *Server) allocColored(c *Client) (phys.Frame, error) {
 	seq := c.cursor.Add(1) - 1
 	sh := s.routeShard(c, seq)
@@ -478,7 +448,7 @@ func (s *Server) allocColored(c *Client) (phys.Frame, error) {
 		s.stats.coloredAllocs.Add(1)
 		return f, nil
 	}
-	f, rung, err := sh.requestRefill(c, seq, s)
+	f, rung, err := sh.refill(c, seq, s)
 	if err != nil {
 		return 0, err
 	}

@@ -44,17 +44,16 @@ func coloredClient(t testing.TB, s *Server, m *phys.Mapping, top *topology.Topol
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.QueueDepth != 256 || c.BatchMax != 32 || c.Stripes != 16 {
+	if c.Stripes != 16 {
 		t.Errorf("defaults = %+v", c)
 	}
 	if c.HighWater != 192 {
 		t.Errorf("HighWater = %d, want 192", c.HighWater)
 	}
-	// HighWater is clamped into [1, QueueDepth] so the bounded queue
-	// send can never block.
-	c = Config{QueueDepth: 8, HighWater: 99}.withDefaults()
-	if c.HighWater != 8 {
-		t.Errorf("clamped HighWater = %d, want 8", c.HighWater)
+	// Explicit settings survive defaulting.
+	c = Config{HighWater: 999, Stripes: 2}.withDefaults()
+	if c.HighWater != 999 || c.Stripes != 2 {
+		t.Errorf("explicit config rewritten: %+v", c)
 	}
 }
 
@@ -145,10 +144,10 @@ func TestSingleClientDeterministic(t *testing.T) {
 }
 
 func TestBackpressureErrBusy(t *testing.T) {
-	s, m, top := testServer(t, Config{QueueDepth: 8, HighWater: 4})
+	s, m, top := testServer(t, Config{HighWater: 4})
 	c := coloredClient(t, s, m, top, 0)
-	// Saturate the home shard's in-flight counter by hand: the next
-	// miss must be rejected without touching the queue.
+	// Saturate the home shard's refill counter by hand: the next miss
+	// must be rejected without taking the zone lock.
 	sh := s.routeShard(c, 0)
 	sh.pending.Store(int32(s.cfg.HighWater))
 	_, err := c.Alloc()
@@ -349,9 +348,10 @@ func TestClosedServerRejects(t *testing.T) {
 	s.Close() // idempotent
 }
 
-// The refill worker batches queued misses and amortizes block
-// shatters across them: far fewer shatters than refill requests.
-func TestBatchedRefillAmortizes(t *testing.T) {
+// A block shatter parks many pages at once, so the allocations after
+// a refill hit the color lists: shatters never outnumber refill
+// requests.
+func TestRefillAmortizes(t *testing.T) {
 	s, m, top := testServer(t, Config{})
 	c := coloredClient(t, s, m, top, 3)
 	for i := 0; i < 400; i++ {
@@ -360,8 +360,8 @@ func TestBatchedRefillAmortizes(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Batches == 0 || st.BatchedReqs < st.Batches {
-		t.Errorf("batch counters inconsistent: %+v", st)
+	if st.Batches == 0 || st.BatchedReqs != st.Batches {
+		t.Errorf("refill pass counters inconsistent: %+v", st)
 	}
 	if st.RefillFrames < st.Refills {
 		t.Errorf("refill counters inconsistent: %+v", st)

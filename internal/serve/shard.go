@@ -48,51 +48,14 @@ type shard struct {
 	occ     []atomic.Uint64
 	rowMask uint64 // low min(nLLC, 64) bits: one word of a row
 
-	// refillQ carries misses to the shard's worker; pending counts
-	// requests enqueued or being served and is capped at HighWater
-	// (<= QueueDepth), so the queue send below never blocks.
-	refillQ chan *refillReq
+	// pending counts the misses refilling on this shard right now; it
+	// is capped at HighWater (see refill).
 	pending atomic.Int32
 
 	refills      atomic.Uint64 // block shatters (Algorithm 2 calls)
 	refillFrames atomic.Uint64 // frames moved zone -> color lists
-	batches      atomic.Uint64 // worker batches served
-	batchedReqs  atomic.Uint64 // requests across those batches
+	refillPasses atomic.Uint64 // misses that took the refill path
 	rejected     atomic.Uint64 // ErrBusy rejections
-
-	// Worker-owned scratch, touched only by the shard's single worker
-	// goroutine: the batch buffer and serveBatch's served list grow to
-	// BatchMax once and are reused so the refill path allocates
-	// nothing per batch at steady state.
-	wkBatch []*refillReq
-	wkDone  []servedReq
-}
-
-// servedReq pairs a refill request with the frame that satisfies it,
-// held until zoneMu is released (deliveries must not happen under the
-// zone lock; see serveBatch).
-type servedReq struct {
-	req   *refillReq
-	frame phys.Frame
-}
-
-type refillResult struct {
-	frame phys.Frame
-	rung  kernel.Rung
-	err   error
-}
-
-// refillReq is one client miss waiting on the shard worker. state
-// arbitrates the shutdown race between delivery and abandonment:
-// 0 = pending, 1 = delivered, 2 = abandoned by the requester. The
-// common instance is the client's embedded reusable one (Client.req);
-// a fresh request is allocated only when the same client misses from
-// two goroutines at once or its slot was poisoned by abandonment.
-type refillReq struct {
-	c     *Client
-	seq   uint64
-	state atomic.Int32
-	resp  chan refillResult // buffered, capacity 1
 }
 
 func newShard(node int, base phys.Frame, zone *buddy.Allocator, m *phys.Mapping, cfg Config) (*shard, error) {
@@ -116,7 +79,6 @@ func newShard(node int, base phys.Frame, zone *buddy.Allocator, m *phys.Mapping,
 		lists:   make([][]phys.Frame, buckets),
 		occ:     make([]atomic.Uint64, (buckets+63)/64),
 		rowMask: ^uint64(0) >> uint(64-min(m.NumLLCColors(), 64)),
-		refillQ: make(chan *refillReq, cfg.QueueDepth),
 	}, nil
 }
 
@@ -343,72 +305,35 @@ func (sh *shard) popAnyParked(s *Server) (phys.Frame, bool) {
 	return 0, false
 }
 
-// requestRefill posts a miss to the shard worker and waits for the
-// outcome. Past the high-water mark it rejects immediately with
-// ErrBusy — bounded queues, not unbounded latency.
-func (sh *shard) requestRefill(c *Client, seq uint64, s *Server) (phys.Frame, kernel.Rung, error) {
+// refill serves a miss inline on the allocating goroutine: Algorithm
+// 1 calling create_color_list (Algorithm 2) itself, as the kernel's
+// allocPagesFor does. Past the high-water mark of concurrent refills
+// on the shard it rejects with ErrBusy. Under zoneMu it re-tries the
+// color lists before each shatter — a refill the caller queued behind
+// may already have parked its color — and breaks one more block only
+// while still empty-handed. The borrow ladder runs after zoneMu is
+// released, since it locks other shards.
+func (sh *shard) refill(c *Client, seq uint64, s *Server) (phys.Frame, kernel.Rung, error) {
 	if sh.pending.Add(1) > int32(s.cfg.HighWater) {
 		sh.pending.Add(-1)
 		sh.rejected.Add(1)
 		return 0, kernel.RungNone, ErrBusy
 	}
-	// Reuse the client's embedded request — the miss path stays
-	// allocation-free. The CAS only fails when the same client misses
-	// concurrently from another goroutine (or the slot was poisoned at
-	// shutdown); that rare overlap pays for a fresh request.
-	req := &c.req
-	reused := c.reqBusy.CompareAndSwap(false, true)
-	if reused {
-		req.seq = seq
-		req.state.Store(0)
-	} else {
-		req = &refillReq{c: c, seq: seq, resp: make(chan refillResult, 1)}
+	defer sh.pending.Add(-1)
+	sh.refillPasses.Add(1)
+	sh.zoneMu.Lock()
+	f, ok := sh.popMatch(c, seq, s)
+	for !ok && sh.shatterLocked(s) {
+		f, ok = sh.popMatch(c, seq, s)
 	}
-	select {
-	case sh.refillQ <- req:
-	case <-s.stop:
-		sh.pending.Add(-1)
-		if reused {
-			c.reqBusy.Store(false)
-		}
-		return 0, kernel.RungNone, ErrClosed
+	sh.zoneMu.Unlock()
+	if ok {
+		return f, kernel.RungNone, nil
 	}
-	select {
-	case res := <-req.resp:
-		if reused {
-			c.reqBusy.Store(false)
-		}
-		return res.frame, res.rung, res.err
-	case <-s.stop:
-		// Closing. If the worker has not picked the request up yet,
-		// abandon it (the worker's drain reclaims any frame it was
-		// about to hand us); if it has, take the delivered result.
-		// An abandoned reusable slot stays poisoned (reqBusy set):
-		// the worker still holds the pointer, and recycling it could
-		// let a stale delivery land in a future request's channel.
-		if req.state.CompareAndSwap(0, 2) {
-			return 0, kernel.RungNone, ErrClosed
-		}
-		res := <-req.resp
-		if reused {
-			c.reqBusy.Store(false)
-		}
-		return res.frame, res.rung, res.err
+	if f, rung, ok := s.borrow(c, sh); ok {
+		return f, rung, nil
 	}
-}
-
-// deliver resolves a request: hand the result to the requester, or —
-// if the requester abandoned it at shutdown — return the frame to
-// its shard so nothing leaks.
-func (r *refillReq) deliver(sh *shard, s *Server, f phys.Frame, rung kernel.Rung, err error) {
-	sh.pending.Add(-1)
-	if r.state.CompareAndSwap(0, 1) {
-		r.resp <- refillResult{frame: f, rung: rung, err: err}
-		return
-	}
-	if err == nil {
-		s.reclaim(f)
-	}
+	return 0, kernel.RungNone, ErrNoMemory
 }
 
 // reclaim returns an unowned frame to its home shard: parked if the
@@ -428,101 +353,6 @@ func (s *Server) reclaim(f phys.Frame) {
 	if err != nil {
 		panic(fmt.Sprintf("serve: reclaim of exclusively-held frame %d rejected: %v", f, err))
 	}
-}
-
-// worker is the shard's refill goroutine: it drains misses in
-// batches of up to BatchMax and serves each batch with as few block
-// shatters as possible.
-func (sh *shard) worker(s *Server) {
-	defer s.wg.Done()
-	sh.wkBatch = make([]*refillReq, 0, s.cfg.BatchMax)
-	for {
-		var first *refillReq
-		select {
-		case first = <-sh.refillQ:
-		case <-s.stop:
-			sh.drainClosed(s)
-			return
-		}
-		batch := append(sh.wkBatch[:0], first)
-		for len(batch) < s.cfg.BatchMax {
-			select {
-			case r := <-sh.refillQ:
-				batch = append(batch, r)
-				continue
-			default:
-			}
-			break
-		}
-		sh.wkBatch = batch
-		sh.batches.Add(1)
-		sh.batchedReqs.Add(uint64(len(batch)))
-		sh.serveBatch(s, batch)
-		// Drop the request pointers so served refills don't pin their
-		// clients between batches.
-		clear(batch)
-	}
-}
-
-// drainClosed fails every queued request after Close.
-func (sh *shard) drainClosed(s *Server) {
-	for {
-		select {
-		case req := <-sh.refillQ:
-			req.deliver(sh, s, 0, kernel.RungNone, ErrClosed)
-		default:
-			return
-		}
-	}
-}
-
-// serveBatch amortizes refills across a batch: re-try the color
-// lists for every waiter (an earlier shatter may have parked their
-// color), shatter one more block when someone is still empty-handed,
-// and repeat until the batch is served or the zone is dry. Whoever
-// the zone cannot serve walks the borrow ladder — after the zone
-// lock is dropped, since the ladder locks other shards.
-//
-// Deliveries happen strictly after zoneMu is released: deliver blocks
-// on the response channel's buffer and, when the requester abandoned
-// the request at shutdown, re-enters the zone through s.reclaim —
-// either one under zoneMu is a deadlock (reclaim relocks zoneMu;
-// sync.Mutex is not reentrant).
-func (sh *shard) serveBatch(s *Server, batch []*refillReq) {
-	waiting := batch
-	done := sh.wkDone[:0]
-	sh.zoneMu.Lock()
-	for len(waiting) > 0 {
-		// Compact the unserved requests in place (still ⊆ waiting in
-		// order), so the retry loop reuses the batch buffer instead of
-		// building a fresh slice per shatter.
-		still := 0
-		for _, req := range waiting {
-			if f, ok := sh.popMatch(req.c, req.seq, s); ok {
-				done = append(done, servedReq{req: req, frame: f})
-			} else {
-				waiting[still] = req
-				still++
-			}
-		}
-		waiting = waiting[:still]
-		if len(waiting) == 0 || !sh.shatterLocked(s) {
-			break
-		}
-	}
-	sh.zoneMu.Unlock()
-	sh.wkDone = done
-	for _, sv := range done {
-		sv.req.deliver(sh, s, sv.frame, kernel.RungNone, nil)
-	}
-	for _, req := range waiting {
-		if f, rung, ok := s.borrow(req.c, sh); ok {
-			req.deliver(sh, s, f, rung, nil)
-		} else {
-			req.deliver(sh, s, 0, kernel.RungNone, ErrNoMemory)
-		}
-	}
-	clear(done)
 }
 
 // shatterLocked (zoneMu held) breaks the smallest free block into
