@@ -102,7 +102,7 @@ offload-bench:
 	$(GO) run ./cmd/tintbench -exp offload -serve-ops 20000 -serve-out BENCH_serve.json
 
 microbench:
-	$(GO) test -bench=. -benchmem -benchtime=1x . ./internal/phys ./internal/cache ./internal/mem ./internal/kernel ./internal/serve ./internal/engine
+	$(GO) test -bench=. -benchmem -benchtime=1x . ./internal/phys ./internal/cache ./internal/mem ./internal/dram ./internal/kernel ./internal/serve ./internal/engine
 
 # CPU+heap profile of the suite experiment (the hot path behind every
 # figure). Inspect with `go tool pprof cpu.prof`; see CONTRIBUTING.md.

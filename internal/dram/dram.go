@@ -63,9 +63,11 @@ func (t Timing) Validate() error {
 const noRow = ^uint64(0)
 
 type bank struct {
-	openRow      uint64
-	busyUntil    clock.Time
-	refreshEpoch uint64
+	openRow   uint64
+	busyUntil clock.Time
+	// [epochLo, epochHi) is the refresh epoch the bank last started an
+	// access in; a start outside it closes the open row.
+	epochLo, epochHi clock.Time
 }
 
 // Stats aggregates per-controller access counters.
@@ -110,6 +112,7 @@ func NewController(channels, ranks, banksPerRank int, tm Timing) (*Controller, e
 	}
 	for i := range c.banks {
 		c.banks[i].openRow = noRow
+		c.banks[i].epochHi = tm.RefreshEvery
 	}
 	return c, nil
 }
@@ -136,9 +139,12 @@ func (c *Controller) Access(ch, rank, bk int, row uint64, t clock.Time, write bo
 	b := &c.banks[c.bankIndex(ch, rank, bk)]
 	bStart := clock.Max(qDone, b.busyUntil)
 
-	// Lazy refresh: at each refresh epoch all rows are closed.
-	if epoch := uint64(bStart / c.timing.RefreshEvery); epoch != b.refreshEpoch {
-		b.refreshEpoch = epoch
+	// Lazy refresh: at each refresh epoch all rows are closed. Most
+	// accesses start in the bank's last epoch, so the division runs
+	// only when bStart leaves it (in either direction).
+	if bStart < b.epochLo || bStart >= b.epochHi {
+		b.epochLo = bStart - bStart%c.timing.RefreshEvery
+		b.epochHi = b.epochLo + c.timing.RefreshEvery
 		b.openRow = noRow
 	}
 
@@ -201,9 +207,8 @@ func NewSystem(m *phys.Mapping, tm Timing) (*System, error) {
 // home controller at time t) and returns the completion time and the
 // servicing node.
 func (s *System) Access(a phys.Addr, t clock.Time, write bool) (clock.Time, int) {
-	loc := s.mapping.Decode(a)
-	done := s.ctrls[loc.Node].Access(loc.Channel, loc.Rank, loc.Bank, loc.Row, t, write)
-	return done, loc.Node
+	node, ch, rank, bk, row := s.mapping.DecodeRow(a)
+	return s.ctrls[node].Access(ch, rank, bk, row, t, write), node
 }
 
 // Controller returns node n's controller (for stats inspection).

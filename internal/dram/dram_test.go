@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -117,6 +118,113 @@ func TestRefreshClosesRows(t *testing.T) {
 	}
 	if st.RowEmpty != 2 {
 		t.Errorf("RowEmpty = %d, want 2", st.RowEmpty)
+	}
+}
+
+// TestRefreshEpochs pins the lazy refresh per epoch of RefreshEvery
+// cycles: a row stays open for a hit within one epoch, closes when an
+// access starts in a later epoch, and an arrival stamped in an earlier
+// epoch starts at the bank's busy time, in the epoch the bank is in,
+// so its row is still open.
+func TestRefreshEpochs(t *testing.T) {
+	tm := DefaultTiming()
+	c, err := NewController(1, 1, 1, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{}
+	check := func(step string) {
+		t.Helper()
+		st := c.Stats()
+		if st.RowHits != want.RowHits || st.RowEmpty != want.RowEmpty || st.RowConflicts != want.RowConflicts {
+			t.Fatalf("%s: %d hits / %d empty / %d conflicts, want %d / %d / %d", step,
+				st.RowHits, st.RowEmpty, st.RowConflicts, want.RowHits, want.RowEmpty, want.RowConflicts)
+		}
+	}
+	epoch2 := 2 * tm.RefreshEvery
+	c.Access(0, 0, 0, 7, epoch2+10, false)
+	want.RowEmpty++
+	check("first access")
+	c.Access(0, 0, 0, 7, epoch2+1000, false)
+	want.RowHits++
+	check("same row, same epoch")
+	// The bank's last access started just before the boundary; the
+	// next starts just past it, so refresh closed the row between them.
+	c.Access(0, 0, 0, 7, 3*tm.RefreshEvery-tm.QueueService-1, false)
+	want.RowHits++
+	check("same row, last cycles of the epoch")
+	done := c.Access(0, 0, 0, 7, 3*tm.RefreshEvery, false)
+	want.RowEmpty++
+	check("same row, next epoch")
+	// Arrival stamped in epoch 0: the bank is busy until done, in epoch
+	// 3, so the access starts there and hits the open row.
+	if got := c.Access(0, 0, 0, 7, 5, false); got <= done {
+		t.Fatalf("access arriving at 5 completed at %d, before the bank was free at %d", got, done)
+	}
+	want.RowHits++
+	check("arrival in an earlier epoch")
+}
+
+// refController is the reference model of Controller.Access's refresh
+// rule: it divides every start time by RefreshEvery and closes the
+// row when the quotient differs from the bank's last one.
+type refController struct {
+	tm        Timing
+	openRow   []uint64
+	busyUntil []clock.Time
+	epoch     []uint64
+	queueBusy clock.Time
+	busBusy   clock.Time
+}
+
+func (r *refController) access(bk int, row uint64, t clock.Time) clock.Time {
+	qDone := clock.Max(t, r.queueBusy) + r.tm.QueueService
+	r.queueBusy = qDone
+	bStart := clock.Max(qDone, r.busyUntil[bk])
+	if e := uint64(bStart / r.tm.RefreshEvery); e != r.epoch[bk] {
+		r.epoch[bk] = e
+		r.openRow[bk] = noRow
+	}
+	lat := r.tm.TRP + r.tm.TRCD + r.tm.TCAS
+	switch r.openRow[bk] {
+	case row:
+		lat = r.tm.TCAS
+	case noRow:
+		lat = r.tm.TRCD + r.tm.TCAS
+	}
+	r.openRow[bk] = row
+	r.busyUntil[bk] = bStart + lat
+	r.busBusy = clock.Max(bStart+lat, r.busBusy) + r.tm.BusBurst
+	return r.busBusy
+}
+
+// TestRefreshMatchesDivision drives Controller.Access and the
+// divide-every-time reference through random arrivals, in and out of
+// order and spread over many epochs, and requires the same completion
+// time for every access.
+func TestRefreshMatchesDivision(t *testing.T) {
+	tm := DefaultTiming()
+	tm.RefreshEvery = 500
+	c, err := NewController(1, 1, 4, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &refController{tm: tm, openRow: make([]uint64, 4), busyUntil: make([]clock.Time, 4), epoch: make([]uint64, 4)}
+	for i := range ref.openRow {
+		ref.openRow[i] = noRow
+	}
+	rng := rand.New(rand.NewSource(3))
+	var now clock.Time
+	for i := 0; i < 20000; i++ {
+		now += clock.Time(rng.Intn(120))
+		at := now
+		if rng.Intn(4) == 0 {
+			at = clock.Time(rng.Int63n(int64(now) + 1)) // stamped in the past
+		}
+		bk, row := rng.Intn(4), uint64(rng.Intn(3))
+		if got, want := c.Access(0, 0, bk, row, at, false), ref.access(bk, row, at); got != want {
+			t.Fatalf("access %d (bank %d, row %d, at %d): completed at %d, reference %d", i, bk, row, at, got, want)
+		}
 	}
 }
 

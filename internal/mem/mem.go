@@ -246,8 +246,9 @@ func (s *System) AccessLevel(core topology.CoreID, a phys.Addr, write bool, t cl
 
 	// L3 miss: travel to the home controller.
 	st.DRAMReads++
+	node, ch, rank, bk, row := s.mapping.DecodeRow(a)
 	srcNode := s.topo.NodeOfCore(core)
-	homeNode := topology.NodeID(s.mapping.NodeOf(a))
+	homeNode := topology.NodeID(node)
 	hops := s.topo.Hops(core, homeNode)
 	prop := s.cfg.HopCycles * clock.Dur(hops)
 
@@ -262,8 +263,7 @@ func (s *System) AccessLevel(core topology.CoreID, a phys.Addr, write bool, t cl
 		depart = start
 	}
 	arrive := depart + prop
-	dramDone, _ := s.dram.Access(a, arrive, write)
-	done = dramDone + prop // reply propagation
+	done = s.dram.Controller(node).Access(ch, rank, bk, row, arrive, write) + prop // reply propagation
 
 	// Dirty L3 victim: fire-and-forget writeback occupying its
 	// home bank (does not delay this requester). Victim lines can

@@ -2,7 +2,7 @@ package phys
 
 import "testing"
 
-// Microbenchmarks for the address-decode hot path. Decode, BankColor
+// Microbenchmarks for the address-decode hot path. DecodeRow, BankColor
 // and LLCColor run once per simulated DRAM access, so their cost is a
 // direct component of engine ops/sec; the table-backed fast path is
 // compared against the bit-gather reference it memoizes.
@@ -32,7 +32,7 @@ func BenchmarkDecodeTable(b *testing.B) {
 	addrs := benchAddrs(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Decode(addrs[i%len(addrs)])
+		_, _, _, _, _ = m.DecodeRow(addrs[i%len(addrs)])
 	}
 }
 
@@ -50,7 +50,7 @@ func BenchmarkDecodeTableOverlapped(b *testing.B) {
 	addrs := benchAddrs(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Decode(addrs[i%len(addrs)])
+		_, _, _, _, _ = m.DecodeRow(addrs[i%len(addrs)])
 	}
 }
 

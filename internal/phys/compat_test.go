@@ -84,33 +84,16 @@ func compatMappings(t testing.TB) map[string]*Mapping {
 }
 
 // TestCompatTableMatchesModel checks the table against the map-based
-// model on every (bank color, LLC color) pair, and the row accessor
-// against ComboCompatible bit by bit, including the padding past
-// NumLLCColors.
+// model on every (bank color, LLC color) pair.
 func TestCompatTableMatchesModel(t *testing.T) {
 	for name, m := range compatMappings(t) {
 		t.Run(name, func(t *testing.T) {
-			words := (m.NumLLCColors() + 63) / 64
 			populated := false
 			for bc := 0; bc < m.NumBankColors(); bc++ {
-				row := m.CompatibleLLCs(bc)
-				if len(row) != words {
-					t.Fatalf("CompatibleLLCs(%d) has %d words, want %d", bc, len(row), words)
-				}
-				for lc := 0; lc < words*64; lc++ {
-					inRow := row[lc/64]>>uint(lc%64)&1 != 0
-					if lc >= m.NumLLCColors() {
-						if inRow {
-							t.Fatalf("CompatibleLLCs(%d) sets padding bit %d", bc, lc)
-						}
-						continue
-					}
+				for lc := 0; lc < m.NumLLCColors(); lc++ {
 					got, want := m.ComboCompatible(bc, lc), comboCompatibleModel(m, bc, lc)
 					if got != want {
 						t.Fatalf("ComboCompatible(%d,%d) = %v, model says %v", bc, lc, got, want)
-					}
-					if inRow != got {
-						t.Fatalf("CompatibleLLCs(%d) bit %d = %v, ComboCompatible %v", bc, lc, inRow, got)
 					}
 					populated = populated || got
 				}

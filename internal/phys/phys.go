@@ -312,27 +312,38 @@ func gather(a uint64, bits []uint) int {
 	return v
 }
 
-// Decode translates a physical address into its DRAM location. The
-// hot path is one packed locTable load plus row/column arithmetic;
-// out-of-range addresses, unpackable mappings, and mappings with
-// sub-page select bits take the reference bit-gather route (identical
-// results where both apply).
+// Decode translates a physical address into its DRAM location:
+// DecodeRow plus the column.
 func (m *Mapping) Decode(a Addr) Location {
+	n, ch, rk, bk, row := m.DecodeRow(a)
+	return Location{
+		Node:    n,
+		Channel: ch,
+		Rank:    rk,
+		Bank:    bk,
+		Row:     row,
+		Col:     (uint64(a) % m.nodeSize & m.rowMask) >> LineShift,
+	}
+}
+
+// DecodeRow is Decode without the column: the node, channel, rank,
+// bank and row a DRAM access needs. The hot path is one packed
+// locTable load plus row arithmetic; out-of-range addresses,
+// unpackable mappings, and mappings with sub-page select bits take the
+// reference bit-gather route (identical results where both apply).
+func (m *Mapping) DecodeRow(a Addr) (node, channel, rank, bank int, row uint64) {
 	f := uint64(a) >> PageShift
 	if m.subPageBits || f >= uint64(len(m.locTable)) {
-		return m.GatherDecode(a)
+		l := m.GatherDecode(a)
+		return l.Node, l.Channel, l.Rank, l.Bank, l.Row
 	}
 	packed := m.locTable[f]
-	node := packed >> locNodeShift & locFieldMask
-	off := uint64(a) - m.nodeBase[node]
-	return Location{
-		Node:    int(node),
-		Channel: int(packed >> locChannelShift & locFieldMask),
-		Rank:    int(packed >> locRankShift & locFieldMask),
-		Bank:    int(packed >> locBankShift & locFieldMask),
-		Row:     off >> m.rowShift,
-		Col:     (off & m.rowMask) >> LineShift,
-	}
+	n := packed >> locNodeShift & locFieldMask
+	return int(n),
+		int(packed >> locChannelShift & locFieldMask),
+		int(packed >> locRankShift & locFieldMask),
+		int(packed >> locBankShift & locFieldMask),
+		(uint64(a) - m.nodeBase[n]) >> m.rowShift
 }
 
 // GatherDecode is the reference bit-gather implementation of Decode.
@@ -443,14 +454,6 @@ func (m *Mapping) SeparableColors() bool {
 // be in range.
 func (m *Mapping) ComboCompatible(bc, lc int) bool {
 	return m.compat[bc*m.compatWords+lc>>6]>>uint(lc&63)&1 != 0
-}
-
-// CompatibleLLCs returns bank color bc's row of the compatibility
-// table: bit lc%64 of word lc/64 is set iff ComboCompatible(bc, lc).
-// The row has (NumLLCColors()+63)/64 words and no bits past
-// NumLLCColors. Callers must not mutate it.
-func (m *Mapping) CompatibleLLCs(bc int) []uint64 {
-	return m.compat[bc*m.compatWords : (bc+1)*m.compatWords]
 }
 
 // buildCompat fills the compatibility table. The node part of a bank

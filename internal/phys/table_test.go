@@ -6,7 +6,7 @@ import (
 )
 
 // Property test for the precomputed decode tables: the table-backed
-// hot-path accessors must equal the bit-gather reference for random
+// hot-path accessors (Decode, DecodeRow and the color lookups) must equal the bit-gather reference for random
 // addresses under every mapping shape — separable, Opteron-overlapped,
 // and (to exercise the fallback route) a mapping with a select bit
 // below the page shift.
@@ -50,6 +50,11 @@ func TestTableAccessorsMatchGather(t *testing.T) {
 				a := Addr(rng.Uint64() % m.MemBytes())
 				if got, want := m.Decode(a), m.GatherDecode(a); got != want {
 					t.Fatalf("Decode(%#x) = %+v, gather reference %+v", a, got, want)
+				}
+				want := m.GatherDecode(a)
+				if n, ch, rk, bk, row := m.DecodeRow(a); n != want.Node || ch != want.Channel ||
+					rk != want.Rank || bk != want.Bank || row != want.Row {
+					t.Fatalf("DecodeRow(%#x) = %d/%d/%d/%d row %d, gather reference %+v", a, n, ch, rk, bk, row, want)
 				}
 				if got, want := m.BankColor(a), m.GatherBankColor(a); got != want {
 					t.Fatalf("BankColor(%#x) = %d, gather reference %d", a, got, want)

@@ -229,7 +229,7 @@ func BenchmarkAllocRefill(b *testing.B) {
 	// to the zone as free single pages, undoing the batch's shatters.
 	unpark := func() {
 		for range held {
-			f, ok := sh.popMatch(c, 0, s)
+			f, ok := sh.popMatch(c, 0)
 			if !ok {
 				b.Fatal("reparked page missing")
 			}

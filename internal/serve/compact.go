@@ -64,15 +64,13 @@ func (s *Server) CompactShard(i int, budget int) CompactResult {
 	if budget <= 0 || i < 0 || i >= len(s.shards) {
 		return res
 	}
-	node := s.shards[i].node
-	s.loanMu.Lock()
-	cands := make([]phys.Frame, 0, len(s.loans))
-	for f := range s.loans {
-		if s.mapping.NodeOfFrame(f) == node {
-			cands = append(cands, f)
-		}
+	sh := s.shards[i]
+	sh.loanMu.Lock()
+	cands := make([]phys.Frame, 0, len(sh.loans))
+	for f := range sh.loans {
+		cands = append(cands, f)
 	}
-	s.loanMu.Unlock()
+	sh.loanMu.Unlock()
 	sort.Slice(cands, func(a, b int) bool { return cands[a] < cands[b] })
 	s.stats.compactPasses.Add(1)
 	for _, old := range cands {
@@ -81,9 +79,9 @@ func (s *Server) CompactShard(i int, budget int) CompactResult {
 		}
 		// Re-read: the loan may have settled (client freed the frame)
 		// since the snapshot.
-		s.loanMu.Lock()
-		l, live := s.loans[old]
-		s.loanMu.Unlock()
+		sh.loanMu.Lock()
+		l, live := sh.loans[old]
+		sh.loanMu.Unlock()
 		if !live {
 			continue
 		}
@@ -126,9 +124,7 @@ func (s *Server) CompactShard(i int, budget int) CompactResult {
 		// can be settled race-free before the frame re-enters supply.
 		if s.owners[old].CompareAndSwap(int32(c.id)+1, 0) {
 			if s.rungOf[old].Swap(0) != 0 {
-				s.loanMu.Lock()
-				delete(s.loans, old)
-				s.loanMu.Unlock()
+				sh.settleLoan(old)
 			}
 			s.reclaim(old)
 		}
@@ -161,20 +157,20 @@ func (s *Server) allocPreferredFor(c *Client) (phys.Frame, bool) {
 		// Try every shard holding one of the client's bank colors,
 		// starting from the cursor-routed one.
 		start := s.routeShard(c, seq)
-		if f, ok := start.popMatch(c, seq, s); ok {
+		if f, ok := start.popMatch(c, seq); ok {
 			return f, true
 		}
 		for _, sh := range s.shards {
 			if sh == start || len(c.banksOn(sh.node)) == 0 {
 				continue
 			}
-			if f, ok := sh.popMatch(c, seq, s); ok {
+			if f, ok := sh.popMatch(c, seq); ok {
 				return f, true
 			}
 		}
 		return 0, false
 	}
-	return s.shards[c.nodeOrder[0]].popMatch(c, seq, s)
+	return s.shards[c.nodeOrder[0]].popMatch(c, seq)
 }
 
 // compactor is the per-shard background worker: each kick runs

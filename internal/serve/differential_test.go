@@ -99,6 +99,62 @@ func TestAuditServerCatchesOccupancyDrift(t *testing.T) {
 	}
 }
 
+// TestAuditServerCatchesLoanDrift breaks check 7 both ways — a loan
+// dropped from its shard's ledger with the rung mirror still set, and
+// a mirror entry on a held frame with no loan — and requires the
+// auditor to name the frame each time.
+func TestAuditServerCatchesLoanDrift(t *testing.T) {
+	top, m := bootPair(t)
+	s, err := serve.New(top, m, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := s.NewClient(top.CoresOfNode(0)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetColors(m.BankColorsOfNode(0)[:1], []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	var preferred []phys.Frame
+	for s.Stats().Loans < 2 {
+		f, err := c.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.LoanRungMirror(f) == kernel.RungNone {
+			preferred = append(preferred, f)
+		}
+	}
+	auditServerClean(t, s)
+	var loaned phys.Frame
+	s.VisitLoans(func(f phys.Frame, _ int, _ kernel.Rung) { loaned = f })
+	requireViolation := func(want string) {
+		t.Helper()
+		for _, v := range invariant.AuditServer(s).Violations {
+			if strings.Contains(v, want) {
+				return
+			}
+		}
+		t.Fatalf("no violation names %q", want)
+	}
+	for _, f := range []phys.Frame{loaned, preferred[0]} {
+		if f == loaned {
+			serve.DropLoanEntry(s, f)
+		} else {
+			serve.SetRungMirror(s, f, kernel.RungRemote)
+		}
+		requireViolation(fmt.Sprintf("rung mirror marks frame %d at rung", f))
+		// Free clears the mirror and settles whatever the ledger holds,
+		// which puts the two back in step.
+		if err := c.Free(f); err != nil {
+			t.Fatal(err)
+		}
+		auditServerClean(t, s)
+	}
+}
+
 // TestDifferentialKernelVsServe drives the sequential kernel and the
 // sharded server through the same MEM+LLC color plan — one principal
 // per node, well under each claim's capacity — and proves both

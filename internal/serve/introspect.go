@@ -64,10 +64,10 @@ func (s *Server) Stats() Stats {
 	for i := range st.Borrows {
 		st.Borrows[i] = s.stats.borrows[i].Load()
 	}
-	s.loanMu.Lock()
-	st.Loans = len(s.loans)
-	s.loanMu.Unlock()
 	for _, sh := range s.shards {
+		sh.loanMu.Lock()
+		st.Loans += len(sh.loans)
+		sh.loanMu.Unlock()
 		st.Refills += sh.refills.Load()
 		st.RefillFrames += sh.refillFrames.Load()
 		passes := sh.refillPasses.Load()
@@ -159,22 +159,25 @@ func (s *Server) VisitOutstanding(fn func(f phys.Frame, clientID int)) {
 // (parked on a color list, or handed out through one).
 func (s *Server) ColoredFrame(f phys.Frame) bool { return s.colored[f].Load() }
 
-// VisitLoans visits outstanding loans in ascending frame order.
+// VisitLoans visits outstanding loans in ascending frame order. Each
+// shard's ledger holds the loans on its own frames, and shards own
+// ascending frame ranges, so shard order then frame order is ascending.
 func (s *Server) VisitLoans(fn func(f phys.Frame, clientID int, rung kernel.Rung)) {
-	s.loanMu.Lock()
-	frames := make([]phys.Frame, 0, len(s.loans))
-	for f := range s.loans {
-		frames = append(frames, f)
+	type entry struct {
+		f phys.Frame
+		l Loan
 	}
-	loans := make(map[phys.Frame]Loan, len(s.loans))
-	for f, l := range s.loans {
-		loans[f] = l
-	}
-	s.loanMu.Unlock()
-	sort.Slice(frames, func(i, j int) bool { return frames[i] < frames[j] })
-	for _, f := range frames {
-		l := loans[f]
-		fn(f, l.Client.id, l.Rung)
+	for _, sh := range s.shards {
+		sh.loanMu.Lock()
+		loans := make([]entry, 0, len(sh.loans))
+		for f, l := range sh.loans {
+			loans = append(loans, entry{f, l})
+		}
+		sh.loanMu.Unlock()
+		sort.Slice(loans, func(i, j int) bool { return loans[i].f < loans[j].f })
+		for _, e := range loans {
+			fn(e.f, e.l.Client.id, e.l.Rung)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/phys"
@@ -189,22 +189,38 @@ func TestOccupancyScanMatchesModel(t *testing.T) {
 
 			perNode := m.BanksPerNode()
 			nLLC := m.NumLLCColors()
+			// edges are the LLC colors whose buckets sit at an
+			// occupancy word's first or last bit (with 128 colors a
+			// row spans two words), so scans start on word edges.
+			edges := []int{0, 63 % nLLC, 64 % nLLC, nLLC - 1}
 			var scanC, modelC []*Client
-			for i := 0; i < 9; i++ {
+			var firstBank, firstLLC []int
+			for i := 0; i < 12; i++ {
 				node := rng.Intn(top.Nodes())
 				core := top.CoresOfNode(topology.NodeID(node))[0]
 				var bank, llc []int
-				switch i % 3 {
-				case 0: // MEM+LLC, occasionally spanning two nodes
+				switch {
+				case i == 9: // client 0's claim, reversed and repeated: the same interned claim
+					bank = append(slices.Clone(firstBank), firstBank[0])
+					slices.Reverse(bank)
+					llc = append(slices.Clone(firstLLC), firstLLC...)
+					slices.Reverse(llc)
+				case i >= 10: // word-edge claims; clients 10 and 11 share one
+					bank = []int{perNode - 1, 0, 1, 2, 5}
+					llc = edges
+				case i%3 == 0: // MEM+LLC, occasionally spanning two nodes
 					bank = randomSubset(rng, node*perNode, (node+1)*perNode, 1+rng.Intn(6))
 					if rng.Intn(3) == 0 {
 						other := (node + 1) % top.Nodes()
 						bank = append(bank, randomSubset(rng, other*perNode, (other+1)*perNode, 2)...)
 					}
 					llc = randomSubset(rng, 0, nLLC/2, 1+rng.Intn(8))
-				case 1: // bank only
+					if i == 0 {
+						firstBank, firstLLC = bank, llc
+					}
+				case i%3 == 1: // bank only
 					bank = randomSubset(rng, node*perNode, node*perNode+perNode/2, 1+rng.Intn(4))
-				case 2: // LLC only
+				default: // LLC only
 					llc = randomSubset(rng, 0, nLLC/2, 1+rng.Intn(6))
 				}
 				for _, pair := range []struct {
@@ -270,7 +286,7 @@ func TestOccupancyScanMatchesModel(t *testing.T) {
 				kind := rng.Intn(4)
 				switch kind {
 				case 0, 1:
-					got, gotOK = rs.popMatch(scanC[ci], seq, scan)
+					got, gotOK = rs.popMatch(scanC[ci], seq)
 					want, wantOK = popMatchModel(ms, modelC[ci], seq, model)
 				case 2:
 					got, gotOK = rs.popUnassigned(scanC[ci], scan)
@@ -293,6 +309,9 @@ func TestOccupancyScanMatchesModel(t *testing.T) {
 					checkOccupancy(t, model)
 				}
 			}
+			if scanC[9].claim != scanC[0].claim || scanC[11].claim != scanC[10].claim {
+				t.Fatal("equal claims were not interned as one claimSet")
+			}
 			checkOccupancy(t, scan)
 			if hits < pops/4 || hits == pops {
 				t.Fatalf("%d of %d pops hit: the sequence did not mix hits and misses", hits, pops)
@@ -301,17 +320,40 @@ func TestOccupancyScanMatchesModel(t *testing.T) {
 	}
 }
 
-// TestPopRowWordBoundaries pins popRow's [lo, hi) window on rows that
-// share a word (32 LLC colors) and rows that span two (128 colors):
-// one frame parked on every bucket of the row that can hold one, and
-// every window must pop the lowest such color inside it.
+// rowMaskOf returns the row-sized mask of LLC colors [lo, hi).
+func rowMaskOf(nLLC, lo, hi int) []uint64 {
+	m := make([]uint64, (nLLC+63)/64)
+	for lc := lo; lc < hi; lc++ {
+		m[lc>>6] |= 1 << uint(lc&63)
+	}
+	return m
+}
+
+// parkRow parks one frame on every bucket of shard sh's row li that
+// can hold one.
+func parkRow(s *Server, sh *shard, li int) {
+	m := s.mapping
+	for f := phys.Frame(0); uint64(f) < m.Frames(); f++ {
+		if m.NodeOfFrame(f) == sh.node && sh.localOf[m.FrameBankColor(f)] == li {
+			if b := li*sh.nLLC + m.FrameLLCColor(f); len(sh.lists[b]) == 0 {
+				sh.park(f, s)
+			}
+		}
+	}
+}
+
+// TestPopRowWordBoundaries pins popRow's color mask on rows that share
+// a word (32 LLC colors) and rows that span two (128 colors): one
+// frame parked on every bucket of the row that can hold one, and
+// every window of colors, as a mask, must pop the lowest such color
+// inside it; a nil mask is the whole row.
 func TestPopRowWordBoundaries(t *testing.T) {
 	top := topology.Opteron6128()
 	for name, m := range occupancyMappings(t, top.Nodes()) {
 		t.Run(name, func(t *testing.T) {
 			nLLC := m.NumLLCColors()
 			windows := [][2]int{{0, nLLC}, {1, nLLC}, {nLLC - 1, nLLC}, {5, 6}, {0, 1}, {3, 3},
-				{nLLC/2 - 1, nLLC/2 + 2}, {63 % nLLC, nLLC}, {17, 29}}
+				{nLLC/2 - 1, nLLC/2 + 2}, {63 % nLLC, nLLC}, {17, 29}, {-1, -1}}
 			for _, w := range windows {
 				s, err := New(top, m, Config{})
 				if err != nil {
@@ -319,12 +361,10 @@ func TestPopRowWordBoundaries(t *testing.T) {
 				}
 				sh := s.shards[1]
 				li := 1 // an odd row: with 32 colors it sits in the word's upper half
-				for f := phys.Frame(0); uint64(f) < m.Frames(); f++ {
-					if m.NodeOfFrame(f) == 1 && sh.localOf[m.FrameBankColor(f)] == li {
-						if b := li*nLLC + m.FrameLLCColor(f); len(sh.lists[b]) == 0 {
-							sh.park(f, s)
-						}
-					}
+				parkRow(s, sh, li)
+				mask := rowMaskOf(nLLC, w[0], w[1])
+				if w[0] < 0 {
+					w, mask = [2]int{0, nLLC}, nil
 				}
 				want := -1
 				for lc := w[0]; lc < w[1]; lc++ {
@@ -333,7 +373,7 @@ func TestPopRowWordBoundaries(t *testing.T) {
 						break
 					}
 				}
-				f, ok := sh.popRow(li, w[0], w[1], nil, nil)
+				f, ok := sh.popRow(li, mask)
 				switch {
 				case want < 0:
 					if ok {
@@ -351,22 +391,159 @@ func TestPopRowWordBoundaries(t *testing.T) {
 	}
 }
 
-// spanMask must agree with a bit-by-bit reading of its contract.
-func TestSpanMask(t *testing.T) {
-	for lo := 0; lo < 200; lo += 7 {
-		for hi := lo + 1; hi <= 256; hi += 5 {
-			for w := lo >> 6; w<<6 < hi; w++ {
-				var want uint64
-				for j := 0; j < 64; j++ {
-					if c := w<<6 + j; c >= lo && c < hi {
-						want |= 1 << uint(j)
-					}
-				}
-				if got := spanMask(w, lo, hi); got != want {
-					t.Fatalf("spanMask(%d, %d, %d) = %064b, want %064b (%d bits)",
-						w, lo, hi, got, want, bits.OnesCount64(want))
+// TestPopMaskedWordBoundaries pins popMasked's start and wrap: with
+// one frame parked on every bucket of three rows that can hold one,
+// a scan from every start bucket at or next to a word edge, under a
+// full mask and under a sparse one, must pop the first occupied
+// masked bucket at or after the start, wrapping to the buckets below.
+func TestPopMaskedWordBoundaries(t *testing.T) {
+	top := topology.Opteron6128()
+	for name, m := range occupancyMappings(t, top.Nodes()) {
+		t.Run(name, func(t *testing.T) {
+			nLLC := m.NumLLCColors()
+			s, err := New(top, m, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			sh := s.shards[1]
+			for _, li := range []int{0, 1, 3} {
+				parkRow(s, sh, li)
+			}
+			buckets := len(sh.lists)
+			full := make([]uint64, len(sh.occ))
+			sparse := make([]uint64, len(sh.occ))
+			for b := 0; b < buckets; b++ {
+				full[b>>6] |= 1 << uint(b&63)
+				if b%nLLC%3 == 0 && b/nLLC != 1 {
+					sparse[b>>6] |= 1 << uint(b&63)
 				}
 			}
-		}
+			var starts []int
+			for b := 0; b < buckets; b++ {
+				if e := b & 63; e <= 1 || e >= 62 {
+					starts = append(starts, b)
+				}
+			}
+			for _, mask := range [][]uint64{full, sparse} {
+				for _, b0 := range starts {
+					want := -1
+					for i := 0; i < buckets; i++ {
+						b := (b0 + i) % buckets
+						if mask[b>>6]>>uint(b&63)&1 != 0 && len(sh.lists[b]) > 0 {
+							want = b
+							break
+						}
+					}
+					f, ok := sh.popMasked(mask, b0)
+					if want < 0 {
+						if ok {
+							t.Fatalf("start %d popped frame %d, but no masked bucket is occupied", b0, f)
+						}
+						continue
+					}
+					if !ok {
+						t.Fatalf("start %d popped nothing, want bucket %d", b0, want)
+					}
+					got := sh.localOf[m.FrameBankColor(f)]*nLLC + m.FrameLLCColor(f)
+					if got != want {
+						t.Fatalf("start %d popped bucket %d, want %d", b0, got, want)
+					}
+					sh.park(f, s)
+				}
+			}
+			checkOccupancy(t, s)
+		})
+	}
+}
+
+// TestClaimInterning checks SetColors' claim interning: equal MEM+LLC
+// claims, however ordered or repeated, share one claimSet; different
+// claims do not; bank-only and LLC-only claims get none; and each
+// shard's combination buckets ascend in comboCursor order and its mask
+// matches the claim and ComboCompatible bucket by bucket.
+func TestClaimInterning(t *testing.T) {
+	top := topology.Opteron6128()
+	for name, m := range occupancyMappings(t, top.Nodes()) {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(top, m, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			per, nLLC := m.BanksPerNode(), m.NumLLCColors()
+			claims := [][2][]int{
+				{{0, 1, per + 2}, {0, nLLC - 1, 5}},
+				{{per + 2, 1, 0, 1}, {5, 5, nLLC - 1, 0}}, // claim 0, reordered and repeated
+				{{0, 1, per + 2}, {0, 5}},
+				{{0, 1}, {0, nLLC - 1, 5}},
+				{{0, 1, per + 2, 3 * per}, {0, 1, 2, 3, 63 % nLLC, 64 % nLLC, nLLC - 1}},
+				{{3}, nil},
+				{nil, {3}},
+			}
+			var cs []*Client
+			for _, cl := range claims {
+				c, err := s.NewClient(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.SetColors(cl[0], cl[1]); err != nil {
+					t.Fatal(err)
+				}
+				cs = append(cs, c)
+			}
+			if cs[0].claim == nil || cs[1].claim != cs[0].claim {
+				t.Fatal("equal claims do not share one claimSet")
+			}
+			for i := 2; i < 5; i++ {
+				for j := 0; j < i; j++ {
+					if cs[i].claim == cs[j].claim {
+						t.Fatalf("claims %d and %d differ but share a claimSet", i, j)
+					}
+				}
+			}
+			if cs[5].claim != nil || cs[6].claim != nil {
+				t.Fatal("a bank-only or LLC-only claim was interned")
+			}
+			if len(s.claims) != 4 {
+				t.Fatalf("%d interned claims, want 4", len(s.claims))
+			}
+			for ci, c := range cs[:5] {
+				for n, sh := range s.shards {
+					cl := c.claim.shards[n]
+					var starts []int32
+					for _, bc := range c.bankColors {
+						if m.NodeOfBankColor(bc) != n {
+							continue
+						}
+						for _, lc := range c.llcColors {
+							starts = append(starts, int32(sh.localOf[bc]*nLLC+lc))
+						}
+					}
+					if !slices.Equal(cl.starts, starts) {
+						t.Fatalf("client %d shard %d: starts %v, want %v", ci, n, cl.starts, starts)
+					}
+					if !slices.IsSorted(starts) {
+						t.Fatalf("client %d shard %d: combination buckets %v do not ascend", ci, n, starts)
+					}
+					if len(starts) == 0 {
+						continue
+					}
+					if len(cl.mask) != len(sh.occ) {
+						t.Fatalf("client %d shard %d: mask has %d words, want %d", ci, n, len(cl.mask), len(sh.occ))
+					}
+					for b := 0; b < 64*len(sh.occ); b++ {
+						want := false
+						if b < len(sh.lists) {
+							bc, lc := sh.banks[b/nLLC], b%nLLC
+							want = c.OwnsBankColor(bc) && c.OwnsLLCColor(lc) && m.ComboCompatible(bc, lc)
+						}
+						if got := cl.mask[b>>6]>>uint(b&63)&1 != 0; got != want {
+							t.Fatalf("client %d shard %d bucket %d: mask bit %v, want %v", ci, n, b, got, want)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -135,14 +135,17 @@ type Server struct {
 	assignedBank []atomic.Int32
 	assignedLLC  []atomic.Int32
 
-	loanMu sync.Mutex
-	loans  map[phys.Frame]Loan //tintvet:guardedby loanMu
-	// rungOf[f] is rung+1 while a loan for f exists; 0 otherwise. It
-	// keeps the free fast path off loanMu when nothing is loaned.
+	// rungOf[f] is rung+1 while a loan for f exists on its shard's
+	// ledger; 0 otherwise. It keeps the free fast path off the ledger
+	// when nothing is loaned.
 	rungOf []atomic.Int32
 
 	clientMu sync.Mutex
 	clients  []*Client //tintvet:guardedby clientMu
+	// claims interns MEM+LLC claims, keyed by the sorted, duplicate-free
+	// bank and LLC colors, so clients with equal claims share one
+	// claimSet.
+	claims map[string]*claimSet //tintvet:guardedby clientMu
 
 	// compactKick has one buffered kick channel per shard while
 	// background compaction is enabled; nil when disabled.
@@ -178,8 +181,8 @@ func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, e
 		colored:      make([]atomic.Bool, mapping.Frames()),
 		assignedBank: make([]atomic.Int32, mapping.NumBankColors()),
 		assignedLLC:  make([]atomic.Int32, mapping.NumLLCColors()),
-		loans:        make(map[phys.Frame]Loan),
 		rungOf:       make([]atomic.Int32, mapping.Frames()),
+		claims:       make(map[string]*claimSet),
 		stop:         make(chan struct{}),
 	}
 	for n := 0; n < nodes; n++ {
@@ -275,9 +278,10 @@ type Client struct {
 
 	usingBank  bool
 	usingLLC   bool
-	bankColors []int    // sorted, duplicate-free owned bank colors
-	llcColors  []int    // sorted, duplicate-free owned LLC colors
-	llcMask    []uint64 // llcColors as one row of a shard's occupancy bitmap
+	bankColors []int     // sorted, duplicate-free owned bank colors
+	llcColors  []int     // sorted, duplicate-free owned LLC colors
+	llcMask    []uint64  // llcColors as one row of a shard's occupancy bitmap
+	claim      *claimSet // interned MEM+LLC claim; nil for other claims
 	colorsSet  bool
 
 	// cursor rotates allocations over the client's color combinations
@@ -362,6 +366,9 @@ func (c *Client) SetColors(bank, llc []int) error {
 	}
 	c.usingBank = len(c.bankColors) > 0
 	c.usingLLC = len(c.llcColors) > 0
+	if c.usingBank && c.usingLLC {
+		c.claim = s.internClaim(c.bankColors, c.llcColors)
+	}
 	for _, bc := range c.bankColors {
 		s.assignedBank[bc].Add(1)
 	}
@@ -370,6 +377,55 @@ func (c *Client) SetColors(bank, llc []int) error {
 	}
 	c.colorsSet = true
 	return nil
+}
+
+// claimSet is a MEM+LLC claim resolved against each shard: shards[n]
+// holds the claim's cells on node n's shard. SetColors interns one per
+// distinct claim, so its tables cost memory per claim, not per client
+// (DESIGN.md Sec. 11.6).
+type claimSet struct {
+	shards []claimShard
+}
+
+// claimShard is a claim's view of one shard. With the shard's claimed
+// bank colors B and the LLC colors L, both ascending, combination k is
+// (B[k/|L|], L[k%|L|]) — the kernel's comboCursor order.
+type claimShard struct {
+	starts []int32  // starts[k]: the bucket of combination k, ascending in k
+	mask   []uint64 // over the shard's occupancy words: bit b set iff bucket b is claimed and compatible
+}
+
+// internClaim returns the claimSet of a sorted, duplicate-free MEM+LLC
+// claim, building it on the claim's first use.
+func (s *Server) internClaim(bank, llc []int) *claimSet {
+	key := fmt.Sprint(bank, llc)
+	s.clientMu.Lock()
+	defer s.clientMu.Unlock()
+	if cs, ok := s.claims[key]; ok {
+		return cs
+	}
+	cs := &claimSet{shards: make([]claimShard, len(s.shards))}
+	for n, sh := range s.shards {
+		cl := &cs.shards[n]
+		for _, bc := range bank {
+			li := sh.localOf[bc]
+			if li < 0 {
+				continue
+			}
+			if cl.mask == nil {
+				cl.mask = make([]uint64, len(sh.occ))
+			}
+			for _, lc := range llc {
+				b := li*sh.nLLC + lc
+				cl.starts = append(cl.starts, int32(b))
+				if s.mapping.ComboCompatible(bc, lc) {
+					cl.mask[b>>6] |= 1 << uint(b&63)
+				}
+			}
+		}
+	}
+	s.claims[key] = cs
+	return cs
 }
 
 // Alloc hands the client one order-0 frame under its color claim: the
@@ -400,13 +456,11 @@ func (c *Client) Free(f phys.Frame) error {
 	if !s.owners[f].CompareAndSwap(int32(c.id)+1, 0) {
 		return ErrNotOwner
 	}
+	sh := s.shards[s.mapping.NodeOfFrame(f)]
 	if s.rungOf[f].Swap(0) != 0 {
-		s.loanMu.Lock()
-		delete(s.loans, f)
-		s.loanMu.Unlock()
+		sh.settleLoan(f)
 	}
 	s.stats.frees.Add(1)
-	sh := s.shards[s.mapping.NodeOfFrame(f)]
 	if s.colored[f].Load() {
 		sh.park(f, s)
 		return nil
@@ -443,7 +497,7 @@ func (c *Client) Realloc(old phys.Frame) (phys.Frame, error) {
 func (s *Server) allocColored(c *Client) (phys.Frame, error) {
 	seq := c.cursor.Add(1) - 1
 	sh := s.routeShard(c, seq)
-	if f, ok := sh.popMatch(c, seq, s); ok {
+	if f, ok := sh.popMatch(c, seq); ok {
 		s.finishAlloc(c, f, kernel.RungNone)
 		s.stats.coloredAllocs.Add(1)
 		return f, nil
@@ -512,9 +566,7 @@ func (s *Server) finishAlloc(c *Client, f phys.Frame, rung kernel.Rung) {
 	}
 	s.stats.borrows[rung].Add(1)
 	s.rungOf[f].Store(int32(rung) + 1)
-	s.loanMu.Lock()
-	s.loans[f] = Loan{Client: c, Rung: rung}
-	s.loanMu.Unlock()
+	s.shards[s.mapping.NodeOfFrame(f)].addLoan(f, Loan{Client: c, Rung: rung})
 }
 
 // borrow walks the degradation ladder for a colored client whose home

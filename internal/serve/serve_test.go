@@ -335,6 +335,98 @@ func TestBorrowLadderServesPastClaim(t *testing.T) {
 	}
 }
 
+// TestLoanLedgerPerShard checks that each loan lives on its frame's
+// home shard: Stats.Loans sums the shard ledgers, VisitLoans runs in
+// ascending frame order across shards, and CompactShard(i) works from
+// shard i's ledger alone.
+func TestLoanLedgerPerShard(t *testing.T) {
+	s, m, top := testServer(t, Config{})
+	clients := []*Client{coloredClient(t, s, m, top, 0), coloredClient(t, s, m, top, 1)}
+	held := make([][]phys.Frame, len(clients))
+	for i, c := range clients {
+		for range 320 { // 256 preferred frames, then the ladder
+			f, err := c.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[i] = append(held[i], f)
+		}
+	}
+	ledger := func(sh *shard) map[phys.Frame]Loan {
+		sh.loanMu.Lock()
+		defer sh.loanMu.Unlock()
+		out := make(map[phys.Frame]Loan, len(sh.loans))
+		for f, l := range sh.loans {
+			out[f] = l
+		}
+		return out
+	}
+	total := 0
+	for _, sh := range s.shards {
+		for f, l := range ledger(sh) {
+			if n := m.NodeOfFrame(f); n != sh.node {
+				t.Fatalf("loan of frame %d (node %d) on shard %d's ledger", f, n, sh.node)
+			}
+			if s.LoanRungMirror(f) != l.Rung {
+				t.Fatalf("loan of frame %d at rung %v, mirror %v", f, l.Rung, s.LoanRungMirror(f))
+			}
+			total++
+		}
+	}
+	if n0, n1 := len(ledger(s.shards[0])), len(ledger(s.shards[1])); n0 == 0 || n1 == 0 {
+		t.Fatalf("loans on shards 0 and 1: %d and %d, want both > 0", n0, n1)
+	}
+	if got := s.Stats().Loans; got != total {
+		t.Fatalf("Stats.Loans = %d, shard ledgers hold %d", got, total)
+	}
+	visited, prev := 0, phys.Frame(0)
+	s.VisitLoans(func(f phys.Frame, clientID int, rung kernel.Rung) {
+		if visited > 0 && f <= prev {
+			t.Fatalf("VisitLoans visited frame %d after %d", f, prev)
+		}
+		l, ok := ledger(s.shards[m.NodeOfFrame(f)])[f]
+		if !ok || l.Client.id != clientID || l.Rung != rung {
+			t.Fatalf("VisitLoans reported frame %d (client %d, rung %v), ledger has %+v", f, clientID, rung, l)
+		}
+		visited++
+		prev = f
+	})
+	if visited != total {
+		t.Fatalf("VisitLoans visited %d loans, want %d", visited, total)
+	}
+
+	// With no relocator a pass skips every loan it sees: exactly shard
+	// 1's. Then, with relocators and four preferred frames of each
+	// client freed, a pass on shard 1 moves four of client 1's loans and
+	// leaves shard 0's ledger as it was.
+	loans0, loans1 := ledger(s.shards[0]), ledger(s.shards[1])
+	if res := s.CompactShard(1, 1000); res.Skipped != len(loans1) || res.Moved+res.Declined != 0 {
+		t.Fatalf("CompactShard(1) = %+v, want %d skipped", res, len(loans1))
+	}
+	for i, c := range clients {
+		c.SetRelocator(func(old, new phys.Frame) bool { return true })
+		for _, f := range held[i][:4] {
+			if err := c.Free(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if res := s.CompactShard(1, 1000); res.Moved != 4 {
+		t.Fatalf("CompactShard(1) = %+v, want 4 moved", res)
+	}
+	if got := ledger(s.shards[1]); len(got) != len(loans1)-4 {
+		t.Fatalf("shard 1 holds %d loans after moving 4 of %d", len(got), len(loans1))
+	}
+	if got := ledger(s.shards[0]); len(got) != len(loans0) {
+		t.Fatalf("shard 0's ledger went from %d to %d loans on a shard 1 pass", len(loans0), len(got))
+	}
+	for f := range loans0 {
+		if _, ok := ledger(s.shards[0])[f]; !ok {
+			t.Fatalf("loan of frame %d left shard 0's ledger on a shard 1 pass", f)
+		}
+	}
+}
+
 func TestClosedServerRejects(t *testing.T) {
 	s, m, top := testServer(t, Config{})
 	c := coloredClient(t, s, m, top, 0)

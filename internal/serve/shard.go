@@ -48,6 +48,12 @@ type shard struct {
 	occ     []atomic.Uint64
 	rowMask uint64 // low min(nLLC, 64) bits: one word of a row
 
+	// loans is the ledger of this shard's frames handed out below
+	// preferred placement: a loan lives on its frame's home shard.
+	// loanMu is a leaf lock.
+	loanMu sync.Mutex
+	loans  map[phys.Frame]Loan //tintvet:guardedby loanMu
+
 	// pending counts the misses refilling on this shard right now; it
 	// is capped at HighWater (see refill).
 	pending atomic.Int32
@@ -78,6 +84,7 @@ func newShard(node int, base phys.Frame, zone *buddy.Allocator, m *phys.Mapping,
 		stripes: make([]sync.Mutex, cfg.Stripes),
 		lists:   make([][]phys.Frame, buckets),
 		occ:     make([]atomic.Uint64, (buckets+63)/64),
+		loans:   make(map[phys.Frame]Loan),
 		rowMask: ^uint64(0) >> uint(64-min(m.NumLLCColors(), 64)),
 	}, nil
 }
@@ -93,6 +100,20 @@ func (sh *shard) occBit(b int) (*atomic.Uint64, uint64) {
 func (sh *shard) rowWord(li, w int) uint64 {
 	b := li*sh.nLLC + w<<6
 	return sh.occ[b>>6].Load() >> uint(b&63)
+}
+
+// addLoan records a loan on one of the shard's frames.
+func (sh *shard) addLoan(f phys.Frame, l Loan) {
+	sh.loanMu.Lock()
+	sh.loans[f] = l
+	sh.loanMu.Unlock()
+}
+
+// settleLoan removes frame f's loan from the ledger.
+func (sh *shard) settleLoan(f phys.Frame) {
+	sh.loanMu.Lock()
+	delete(sh.loans, f)
+	sh.loanMu.Unlock()
 }
 
 // park pushes a colored frame onto its (bank, LLC) bucket. The frame
@@ -145,18 +166,15 @@ func (sh *shard) takeBucket(b int) (phys.Frame, bool) {
 }
 
 // popRow pops from the first occupied bucket of row li whose LLC color
-// lies in [lo, hi) and is set in every non-nil row-sized mask, probing
-// in ascending LLC order — the order the per-cell loops it replaced
-// visited. A set bit whose pop loses a race is skipped like an empty
-// bucket.
-func (sh *shard) popRow(li, lo, hi int, m1, m2 []uint64) (phys.Frame, bool) {
-	for w := lo >> 6; w<<6 < hi; w++ {
-		word := sh.rowWord(li, w) & sh.rowMask & spanMask(w, lo, hi)
-		if m1 != nil {
-			word &= m1[w]
-		}
-		if m2 != nil {
-			word &= m2[w]
+// is set in m (every color when m is nil, else a row-sized mask),
+// probing in ascending LLC order — the order the per-cell loops it
+// replaced visited. A set bit whose pop loses a race is skipped like
+// an empty bucket.
+func (sh *shard) popRow(li int, m []uint64) (phys.Frame, bool) {
+	for w := 0; w<<6 < sh.nLLC; w++ {
+		word := sh.rowWord(li, w) & sh.rowMask
+		if m != nil {
+			word &= m[w]
 		}
 		for word != 0 {
 			j := bits.TrailingZeros64(word)
@@ -169,51 +187,50 @@ func (sh *shard) popRow(li, lo, hi int, m1, m2 []uint64) (phys.Frame, bool) {
 	return 0, false
 }
 
-// spanMask returns the bits of word w (LLC colors 64w..64w+63) that
-// fall in [lo, hi); w lies in [lo/64, (hi-1)/64].
-func spanMask(w, lo, hi int) uint64 {
-	base := w << 6
-	m := ^uint64(0)
-	if lo > base {
-		m <<= uint(lo - base)
+// popMasked pops from the first occupied bucket set in mask (one bit
+// per bucket, over the shard's occupancy words) at or after bucket
+// b0, wrapping to the buckets below b0. A set bit whose pop loses a
+// race is skipped like an empty bucket.
+func (sh *shard) popMasked(mask []uint64, b0 int) (phys.Frame, bool) {
+	w0, low := b0>>6, uint64(1)<<uint(b0&63)-1
+	for i := 0; i <= len(mask); i++ {
+		w := w0 + i
+		if w >= len(mask) {
+			w -= len(mask)
+		}
+		word := sh.occ[w].Load() & mask[w]
+		switch i {
+		case 0:
+			word &^= low
+		case len(mask):
+			word &= low
+		}
+		for word != 0 {
+			j := bits.TrailingZeros64(word)
+			word &= word - 1
+			if f, ok := sh.takeBucket(w<<6 + j); ok {
+				return f, true
+			}
+		}
 	}
-	if hi < base+64 {
-		m &= 1<<uint(hi-base) - 1
-	}
-	return m
+	return 0, false
 }
 
 // popMatch pops a parked frame matching the client's color claim,
 // rotating the starting combination by seq so successive allocations
 // spread across the claim exactly as the kernel's comboCursor does.
-func (sh *shard) popMatch(c *Client, seq uint64, s *Server) (phys.Frame, bool) {
+func (sh *shard) popMatch(c *Client, seq uint64) (phys.Frame, bool) {
 	switch {
 	case c.usingBank && c.usingLLC:
-		// Combination k is (banks[k/nl], llcColors[k%nl]). Both lists
-		// are sorted and duplicate-free and localOf is monotone, so
-		// bucket index grows with k: probing k = start, start+1, ...
-		// with wrap-around is scanning the claimed rows for the first
-		// occupied, compatible bucket at or after start's bucket.
-		banks := c.banksOn(sh.node)
-		nb, nl := len(banks), len(c.llcColors)
-		if nb == 0 {
+		// Bucket index grows with the combination index k (DESIGN.md
+		// Sec. 11.6): probing k = start, start+1, ... with wrap-around
+		// is scanning the claim's mask from start's bucket on, then
+		// wrapping below it.
+		cl := &c.claim.shards[sh.node]
+		if len(cl.starts) == 0 {
 			return 0, false
 		}
-		start := int(seq % uint64(nb*nl))
-		kb, lc0 := start/nl, c.llcColors[start%nl]
-		for i := 0; i <= nb; i++ {
-			lo, hi := 0, sh.nLLC
-			if i == 0 {
-				lo = lc0
-			}
-			if i == nb {
-				hi = lc0 // the start row's colors below lc0, after the wrap
-			}
-			bc := banks[(kb+i)%nb]
-			if f, ok := sh.popRow(sh.localOf[bc], lo, hi, c.llcMask, s.mapping.CompatibleLLCs(bc)); ok {
-				return f, true
-			}
-		}
+		return sh.popMasked(cl.mask, int(cl.starts[seq%uint64(len(cl.starts))]))
 	case c.usingBank:
 		banks := c.banksOn(sh.node)
 		if len(banks) == 0 {
@@ -256,10 +273,10 @@ func (sh *shard) popUnassigned(c *Client, s *Server) (phys.Frame, bool) {
 		if s.assignedBank[bc].Load() != 0 {
 			continue
 		}
-		if f, ok := sh.popRow(li, 0, sh.nLLC, c.llcMask, nil); ok {
+		if f, ok := sh.popRow(li, c.llcMask); ok {
 			return f, true
 		}
-		if f, ok := sh.popRow(li, 0, sh.nLLC, nil, nil); ok {
+		if f, ok := sh.popRow(li, nil); ok {
 			return f, true
 		}
 	}
@@ -322,9 +339,9 @@ func (sh *shard) refill(c *Client, seq uint64, s *Server) (phys.Frame, kernel.Ru
 	defer sh.pending.Add(-1)
 	sh.refillPasses.Add(1)
 	sh.zoneMu.Lock()
-	f, ok := sh.popMatch(c, seq, s)
+	f, ok := sh.popMatch(c, seq)
 	for !ok && sh.shatterLocked(s) {
-		f, ok = sh.popMatch(c, seq, s)
+		f, ok = sh.popMatch(c, seq)
 	}
 	sh.zoneMu.Unlock()
 	if ok {
